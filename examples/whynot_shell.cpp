@@ -202,7 +202,7 @@ Status HandleLine(ShellState* state, const std::string& line) {
     NED_ASSIGN_OR_RETURN(QueryInput input,
                          QueryInput::Build(*state->tree, *state->db, ctx.get()));
     Evaluator evaluator(state->tree.get(), &input, ctx.get());
-    Result<const std::vector<TraceTuple>*> eval = evaluator.EvalAll();
+    Result<const Block*> eval = evaluator.EvalAll();
     if (!eval.ok()) {
       if (IsResourceLimit(eval.status())) {
         std::cout << "evaluation stopped: " << eval.status().ToString()
@@ -211,15 +211,15 @@ Status HandleLine(ShellState* state, const std::string& line) {
       }
       return eval.status();
     }
-    const std::vector<TraceTuple>* out = *eval;
+    const Block* out = *eval;
     std::cout << "result (" << out->size() << " tuples):\n";
-    size_t shown = 0;
-    for (const TraceTuple& t : *out) {
-      if (++shown > 10) {
+    for (size_t row = 0; row < out->size(); ++row) {
+      if (row == 10) {
         std::cout << "  ...\n";
         break;
       }
-      std::cout << "  " << t.values.ToString(state->tree->target_type()) << "\n";
+      std::cout << "  " << out->values(row).ToString(state->tree->target_type())
+                << "\n";
     }
     return Status::OK();
   }

@@ -3,17 +3,28 @@
 #include <cstdio>
 
 #include "common/status.h"
-#include "common/strings.h"
 
 namespace ned {
 
 namespace {
 
+// Fingerprints are built by appending, not StrCat: StrCat streams through
+// an ostringstream, and a subtree cache key derives one fingerprint per
+// node on every evaluation.
+
+/// Appends "<size>:<text>", length-prefixed so no payload can forge the
+/// surrounding separators.
+void AppendSized(std::string* out, const std::string& text) {
+  *out += std::to_string(text.size());
+  *out += ':';
+  *out += text;
+}
+
 std::string FingerprintAttribute(const Attribute& attr) {
-  // FullName is "qualifier.name"; length-prefix so generated names cannot
-  // collide with the surrounding separators.
-  std::string full = attr.FullName();
-  return StrCat(full.size(), ":", full);
+  // FullName is "qualifier.name".
+  std::string out;
+  AppendSized(&out, attr.FullName());
+  return out;
 }
 
 std::string FingerprintSchema(const Schema& schema) {
@@ -33,15 +44,18 @@ std::string FingerprintValue(const Value& value) {
     case ValueType::kNull:
       return "n:";
     case ValueType::kInt:
-      return StrCat("i:", value.as_int());
+      return "i:" + std::to_string(value.as_int());
     case ValueType::kDouble: {
       // %.17g round-trips every double exactly.
       char buf[64];
       std::snprintf(buf, sizeof(buf), "d:%.17g", value.as_double());
       return buf;
     }
-    case ValueType::kString:
-      return StrCat("s:", value.as_string().size(), ":", value.as_string());
+    case ValueType::kString: {
+      std::string out = "s:";
+      AppendSized(&out, value.as_string());
+      return out;
+    }
   }
   return "?";
 }
@@ -49,15 +63,20 @@ std::string FingerprintValue(const Value& value) {
 std::string FingerprintExpression(const Expression* expr) {
   if (expr == nullptr) return "-";
   if (const auto* col = dynamic_cast<const ColumnRef*>(expr)) {
-    return StrCat("col(", FingerprintAttribute(col->attribute()), ")");
+    return "col(" + FingerprintAttribute(col->attribute()) + ")";
   }
   if (const auto* lit = dynamic_cast<const Literal*>(expr)) {
-    return StrCat("lit(", FingerprintValue(lit->value()), ")");
+    return "lit(" + FingerprintValue(lit->value()) + ")";
   }
   if (const auto* cmp = dynamic_cast<const Comparison*>(expr)) {
-    return StrCat("cmp(", CompareOpSymbol(cmp->op()), ",",
-                  FingerprintExpression(cmp->left().get()), ",",
-                  FingerprintExpression(cmp->right().get()), ")");
+    std::string out = "cmp(";
+    out += CompareOpSymbol(cmp->op());
+    out += ',';
+    out += FingerprintExpression(cmp->left().get());
+    out += ',';
+    out += FingerprintExpression(cmp->right().get());
+    out += ')';
+    return out;
   }
   if (const auto* conj = dynamic_cast<const Conjunction*>(expr)) {
     std::string out = "and(";
@@ -78,11 +97,11 @@ std::string FingerprintExpression(const Expression* expr) {
     return out;
   }
   if (const auto* neg = dynamic_cast<const Not*>(expr)) {
-    return StrCat("not(", FingerprintExpression(neg->inner().get()), ")");
+    return "not(" + FingerprintExpression(neg->inner().get()) + ")";
   }
   // Unknown subclass: fall back to ToString, still wrapped so it cannot be
   // confused with any tagged form above.
-  return StrCat("other(", expr->ToString(), ")");
+  return "other(" + expr->ToString() + ")";
 }
 
 std::string NodeFingerprint(const OperatorNode& node) {
@@ -94,12 +113,16 @@ std::string NodeFingerprint(const OperatorNode& node) {
       // scans of same-named (but structurally different) relations in
       // different databases cannot collide even when both relations carry
       // data-version 0 (e.g. empty relations never touched by AddRow).
-      out += StrCat("a=", node.alias.size(), ":", node.alias, ";t=",
-                    node.base_table.size(), ":", node.base_table,
-                    ";s=", FingerprintSchema(node.output_schema));
+      out += "a=";
+      AppendSized(&out, node.alias);
+      out += ";t=";
+      AppendSized(&out, node.base_table);
+      out += ";s=";
+      out += FingerprintSchema(node.output_schema);
       break;
     case OpKind::kSelect:
-      out += StrCat("p=", FingerprintExpression(node.predicate.get()));
+      out += "p=";
+      out += FingerprintExpression(node.predicate.get());
       break;
     case OpKind::kProject: {
       out += "a=";
@@ -114,11 +137,15 @@ std::string NodeFingerprint(const OperatorNode& node) {
     case OpKind::kDifference: {
       out += "r=";
       for (const RenameTriple& t : node.renaming.triples()) {
-        out += StrCat(FingerprintAttribute(t.a1), "|",
-                      FingerprintAttribute(t.a2), "|", t.anew.size(), ":",
-                      t.anew, ",");
+        out += FingerprintAttribute(t.a1);
+        out += '|';
+        out += FingerprintAttribute(t.a2);
+        out += '|';
+        AppendSized(&out, t.anew);
+        out += ',';
       }
-      out += StrCat(";x=", FingerprintExpression(node.extra_predicate.get()));
+      out += ";x=";
+      out += FingerprintExpression(node.extra_predicate.get());
       break;
     }
     case OpKind::kAggregate: {
@@ -129,8 +156,12 @@ std::string NodeFingerprint(const OperatorNode& node) {
       }
       out += ";f=";
       for (const AggCall& c : node.aggregates) {
-        out += StrCat(AggFnName(c.fn), "(", FingerprintAttribute(c.arg),
-                      ")->", c.out_name.size(), ":", c.out_name, ",");
+        out += AggFnName(c.fn);
+        out += '(';
+        out += FingerprintAttribute(c.arg);
+        out += ")->";
+        AppendSized(&out, c.out_name);
+        out += ',';
       }
       break;
     }

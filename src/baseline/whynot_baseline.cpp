@@ -59,15 +59,14 @@ Result<std::unordered_set<TupleId>> FindPieceItems(
   std::unordered_set<TupleId> items;
   for (const std::string& alias : input.aliases()) {
     NED_ASSIGN_OR_RETURN(const Schema* schema, input.AliasSchema(alias));
-    NED_ASSIGN_OR_RETURN(const std::vector<TraceTuple>* tuples,
-                         input.AliasTuples(alias));
+    NED_ASSIGN_OR_RETURN(const Block* rows, input.AliasBlock(alias));
     std::vector<size_t> indices = schema->IndicesWithName(attr.name);
     if (indices.empty()) continue;
-    for (const TraceTuple& t : *tuples) {
+    for (size_t row = 0; row < rows->size(); ++row) {
       NED_EXEC_TICK(ctx);
       bool matches = false;
       for (size_t idx : indices) {
-        const Value& v = t.values.at(idx);
+        const Value& v = rows->values(row).at(idx);
         if (!cval.is_var) {
           if (Value::Satisfies(v, CompareOp::kEq, cval.constant)) {
             matches = true;
@@ -78,7 +77,7 @@ Result<std::unordered_set<TupleId>> FindPieceItems(
         }
         if (matches) break;
       }
-      if (matches) items.insert(t.rid);
+      if (matches) items.insert(rows->rid(row));
     }
   }
   return items;
@@ -181,27 +180,22 @@ Result<WhyNotBaselineResult> WhyNotBaseline::Explain(
     // the baseline's main cost (Sec. 4.3).
     PhaseTimer::Scope scope(&result.phases, phase::kSuccessorsFinder);
 
-    std::unordered_map<Rid, const TraceTuple*> by_rid;
-    for (const OperatorNode* m : tree_->bottom_up()) {
-      for (const TraceTuple& t : *evaluator->TryGetOutput(m)) {
-        by_rid[t.rid] = &t;
-      }
-    }
-    // Recursive lineage derivation (the simulated per-tuple lineage query).
-    auto derive_lineage = [&](const TraceTuple& tuple,
-                              std::unordered_set<TupleId>* out) {
-      std::vector<const TraceTuple*> stack = {&tuple};
+    // Recursive lineage derivation (the simulated per-tuple lineage query):
+    // follow preds down the provenance graph, decoding each rid to its
+    // block, until base tuples.
+    auto derive_lineage = [&](Rid rid, std::unordered_set<TupleId>* out) {
+      std::vector<Rid> stack = {rid};
       while (!stack.empty()) {
-        const TraceTuple* cur = stack.back();
+        const Rid cur = stack.back();
         stack.pop_back();
-        if (cur->preds.empty()) {
-          out->insert(cur->rid);  // base tuple
+        if (IsBaseRid(cur)) {
+          out->insert(cur);
           continue;
         }
-        for (Rid pred : cur->preds) {
-          auto it = by_rid.find(pred);
-          if (it != by_rid.end()) stack.push_back(it->second);
-        }
+        size_t row = 0;
+        const Block* block = evaluator->BlockOfRid(cur, &row);
+        if (block == nullptr) continue;
+        for (Rid pred : block->preds(row)) stack.push_back(pred);
       }
     };
 
@@ -222,14 +216,15 @@ Result<WhyNotBaselineResult> WhyNotBaseline::Explain(
           break;
         }
       }
-      const std::vector<TraceTuple>* output = evaluator->TryGetOutput(m);
+      const Block* output = evaluator->TryGetOutput(m);
       NED_CHECK(output != nullptr);
       std::vector<std::unordered_set<Rid>>& out_sets = traced[m];
       out_sets.resize(n_pieces);
       if (m->is_leaf()) {
         for (size_t p = 0; p < n_pieces; ++p) {
-          for (const TraceTuple& t : *output) {
-            if (piece_items[p].count(t.rid) > 0) out_sets[p].insert(t.rid);
+          for (size_t row = 0; row < output->size(); ++row) {
+            const Rid rid = output->rid(row);
+            if (piece_items[p].count(rid) > 0) out_sets[p].insert(rid);
           }
         }
         continue;
@@ -244,7 +239,7 @@ Result<WhyNotBaselineResult> WhyNotBaseline::Explain(
       // continues, since other branches may still carry successors.
       if (output->empty()) continue;
       // One lineage query per output tuple of this manipulation.
-      for (const TraceTuple& o : *output) {
+      for (size_t row = 0; row < output->size(); ++row) {
         if (ctx != nullptr) {
           Status st = ctx->CheckEvery();
           if (!st.ok()) {
@@ -253,12 +248,13 @@ Result<WhyNotBaselineResult> WhyNotBaseline::Explain(
             break;
           }
         }
+        const Rid rid = output->rid(row);
         std::unordered_set<TupleId> lineage;
-        derive_lineage(o, &lineage);
+        derive_lineage(rid, &lineage);
         for (size_t p = 0; p < n_pieces; ++p) {
           for (TupleId id : lineage) {
             if (piece_items[p].count(id) > 0) {
-              out_sets[p].insert(o.rid);
+              out_sets[p].insert(rid);
               break;
             }
           }
@@ -342,7 +338,8 @@ Result<WhyNotBaselineResult> WhyNotBaseline::Explain(
         auto it = traced_memo.find(key);
         if (it != traced_memo.end()) return it->second;
         bool found = false;
-        for (const TraceTuple& o : *evaluator->TryGetOutput(m)) {
+        const Block& output = *evaluator->TryGetOutput(m);
+        for (size_t row = 0; row < output.size(); ++row) {
           if (ctx != nullptr) {
             Status st = ctx->CheckEvery();
             if (!st.ok()) {
@@ -351,10 +348,10 @@ Result<WhyNotBaselineResult> WhyNotBaseline::Explain(
             }
           }
           if (m->is_leaf()) {
-            if (piece_items[p].count(o.rid) > 0) found = true;
+            if (piece_items[p].count(output.rid(row)) > 0) found = true;
           } else {
             std::unordered_set<TupleId> lineage;
-            derive_lineage(o, &lineage);
+            derive_lineage(output.rid(row), &lineage);
             for (TupleId id : lineage) {
               if (piece_items[p].count(id) > 0) {
                 found = true;
@@ -372,8 +369,9 @@ Result<WhyNotBaselineResult> WhyNotBaseline::Explain(
       std::function<bool(const OperatorNode*, size_t)> has_items =
           [&](const OperatorNode* m, size_t p) -> bool {
         if (m->is_leaf()) {
-          for (const TraceTuple& t : *evaluator->TryGetOutput(m)) {
-            if (piece_items[p].count(t.rid) > 0) return true;
+          const Block& rows = *evaluator->TryGetOutput(m);
+          for (size_t row = 0; row < rows.size(); ++row) {
+            if (piece_items[p].count(rows.rid(row)) > 0) return true;
           }
           return false;
         }

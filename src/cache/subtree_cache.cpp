@@ -2,18 +2,17 @@
 
 namespace ned {
 
-SubtreeCache::Rows SubtreeCache::Lookup(const std::string& key) {
+SubtreeCache::Entry SubtreeCache::Lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto hit = lru_.Get(key);
   return hit.has_value() ? *hit : nullptr;
 }
 
-void SubtreeCache::Insert(const std::string& key, Rows rows) {
-  if (rows == nullptr) return;
-  size_t bytes = sizeof(std::vector<TraceTuple>);
-  for (const TraceTuple& t : *rows) bytes += ApproxTraceTupleBytes(t);
+void SubtreeCache::Insert(const std::string& key, Entry block) {
+  if (block == nullptr) return;
+  const size_t bytes = block->bytes();
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.Put(key, std::move(rows), bytes);
+  lru_.Put(key, std::move(block), bytes);
 }
 
 void SubtreeCache::Clear() {

@@ -1,18 +1,21 @@
 /// \file subtree_cache.h
-/// \brief Memoized materialized outputs of evaluator subtrees.
+/// \brief Memoized output blocks of evaluator subtrees.
 ///
 /// The evaluator keys each non-leaf operator's output on the structural
 /// fingerprint of its subtree (algebra/fingerprint.h) composed with the node
 /// ordinals of the TabQ order and the data-version stamps of every relation
 /// the subtree scans (Relation::data_version). Because the rid scheme is
-/// deterministic per (node ordinal, row index), a cached output -- values,
+/// deterministic per (node ordinal, row index), a cached block -- values,
 /// rids, preds and lineage alike -- is bit-identical to what recomputation
 /// would produce, so hits are safe for the whole NedExplain pass including
 /// successor tracing. Key derivation and the invalidation argument live in
 /// docs/CACHING.md.
 ///
-/// Thread-safe: one mutex around the LRU; values are shared_ptr-to-const so
-/// an eviction never invalidates rows an in-flight evaluation still holds.
+/// Thread-safe: one mutex around the LRU. Entries are immutable blocks
+/// (exec/block.h) held by shared_ptr-to-const, so a hit shares the block
+/// instead of copying it and an eviction never invalidates a block an
+/// in-flight evaluation still holds. Non-leaf blocks own their values, so an
+/// entry never points into the snapshot it was computed from.
 
 #ifndef NED_CACHE_SUBTREE_CACHE_H_
 #define NED_CACHE_SUBTREE_CACHE_H_
@@ -20,25 +23,18 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "cache/lru.h"
-#include "exec/lineage.h"
+#include "exec/block.h"
 
 namespace ned {
 
-/// Approximate footprint of one materialized TraceTuple. Intentionally the
-/// same formula the evaluator charges against ExecContext memory budgets, so
-/// "bytes cached" and "bytes charged" speak the same currency.
-inline size_t ApproxTraceTupleBytes(const TraceTuple& t) {
-  return sizeof(TraceTuple) + t.values.size() * sizeof(Value) +
-         t.lineage.size() * sizeof(TupleId) + t.preds.size() * sizeof(Rid);
-}
-
-/// Shared, bounded cache of materialized subtree outputs.
+/// Shared, bounded cache of evaluated subtree blocks. An entry weighs its
+/// block's real size, Block::bytes() -- the same bytes an evaluation charges
+/// its memory budget for it.
 class SubtreeCache {
  public:
-  using Rows = std::shared_ptr<const std::vector<TraceTuple>>;
+  using Entry = std::shared_ptr<const Block>;
 
   explicit SubtreeCache(size_t byte_budget) : lru_(byte_budget) {}
 
@@ -47,12 +43,12 @@ class SubtreeCache {
   /// (even under NED_FORCE_SUBTREE_CACHE, which only replaces a null cache).
   bool enabled() const { return lru_.byte_budget() > 0; }
 
-  /// Returns the cached output for `key`, or nullptr on a miss.
-  Rows Lookup(const std::string& key);
+  /// Returns the cached block for `key`, or nullptr on a miss.
+  Entry Lookup(const std::string& key);
 
-  /// Caches `rows` under `key`. No-op (counted as rejected) when the rows
-  /// exceed the whole budget.
-  void Insert(const std::string& key, Rows rows);
+  /// Caches `block` under `key`. No-op (counted as rejected) when the block
+  /// exceeds the whole budget.
+  void Insert(const std::string& key, Entry block);
 
   /// Drops every entry (stats other than occupancy are preserved).
   void Clear();
@@ -61,7 +57,7 @@ class SubtreeCache {
 
  private:
   mutable std::mutex mu_;
-  ByteBudgetLru<Rows> lru_;
+  ByteBudgetLru<Entry> lru_;
 };
 
 }  // namespace ned

@@ -1,16 +1,19 @@
 #include "core/answers.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/strings.h"
 
 namespace ned {
 
 void WhyNotAnswer::MergeFrom(const WhyNotAnswer& other) {
+  // Detailed answers reach thousands of entries at scale, so membership is
+  // hashed; the node lists are bounded by the query's size.
+  std::unordered_set<DetailedEntry, DetailedEntryHash> seen(detailed.begin(),
+                                                            detailed.end());
   for (const auto& entry : other.detailed) {
-    if (std::find(detailed.begin(), detailed.end(), entry) == detailed.end()) {
-      detailed.push_back(entry);
-    }
+    if (seen.insert(entry).second) detailed.push_back(entry);
   }
   for (const OperatorNode* node : other.condensed) {
     if (std::find(condensed.begin(), condensed.end(), node) == condensed.end()) {

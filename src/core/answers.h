@@ -4,6 +4,7 @@
 #ifndef NED_CORE_ANSWERS_H_
 #define NED_CORE_ANSWERS_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,13 @@ struct DetailedEntry {
   }
 };
 
+struct DetailedEntryHash {
+  size_t operator()(const DetailedEntry& e) const {
+    return std::hash<TupleId>()(e.dir_tuple) * 31 +
+           std::hash<const OperatorNode*>()(e.subquery);
+  }
+};
+
 /// The three answer granularities for one question (or one c-tuple).
 struct WhyNotAnswer {
   /// Detailed answer dW (Def. 2.12): pairs (t_I, Q') plus (⊥, Q').
@@ -42,7 +50,8 @@ struct WhyNotAnswer {
   }
 
   /// Set-unions `other` into this answer (used to combine per-c-tuple
-  /// answers into the answer of a disjunctive predicate).
+  /// answers into the answer of a disjunctive predicate), keeping
+  /// first-seen order.
   void MergeFrom(const WhyNotAnswer& other);
 
   /// Rebuilds `condensed` from `detailed` (dedup in first-seen order).

@@ -79,8 +79,7 @@ struct PickyRecord {
 /// Checks whether `tuples` (typed by `schema`) contain/aggregate-to a row
 /// matching the c-tuple's group fields and satisfying cond-alpha.
 /// `aggregate` supplies G and F when aggregation still needs to be applied.
-Result<bool> SatisfiesCondAlpha(const CondAlpha& ca,
-                                const std::vector<const TraceTuple*>& tuples,
+Result<bool> SatisfiesCondAlpha(const CondAlpha& ca, const Block& tuples,
                                 const Schema& schema,
                                 const OperatorNode* aggregate,
                                 ExecContext* ctx) {
@@ -95,7 +94,7 @@ Result<bool> SatisfiesCondAlpha(const CondAlpha& ca,
     }
   }
 
-  auto row_matches = [&](const Tuple& row, const Schema& row_schema) -> bool {
+  auto row_matches = [&](const auto& row, const Schema& row_schema) -> bool {
     std::map<std::string, Value> bindings;
     auto check_field = [&](const Attribute& attr, const CValue& cval) -> bool {
       std::optional<size_t> idx = row_schema.IndexOf(attr);
@@ -121,9 +120,9 @@ Result<bool> SatisfiesCondAlpha(const CondAlpha& ca,
   };
 
   if (has_agg_outputs) {
-    for (const TraceTuple* t : tuples) {
+    for (size_t i = 0; i < tuples.size(); ++i) {
       NED_EXEC_TICK(ctx);
-      if (row_matches(t->values, schema)) return true;
+      if (row_matches(tuples.values(i), schema)) return true;
     }
     return false;
   }
@@ -149,7 +148,7 @@ Result<bool> SatisfiesCondAlpha(const CondAlpha& ca,
   NED_ASSIGN_OR_RETURN(
       std::vector<Tuple> rows,
       ComputeAggregateTuples(aggregate->group_by, aggregate->aggregates,
-                             tuples, schema, row_schema, ctx));
+                             tuples, schema, ctx));
   for (const Tuple& row : rows) {
     if (row_matches(row, row_schema)) return true;
   }
@@ -314,18 +313,10 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
   std::unordered_set<const OperatorNode*> non_picky;
   std::vector<const OperatorNode*> empty_output;
   std::vector<PickyRecord> picky;
-  std::unordered_map<Rid, const TraceTuple*> rid_index;
   {
     obs::PhasedSpanScope scope(phases, phase::kInitialization, trace);
     for (const OperatorNode* scan : tree_->scans()) {
       TabQEntry& entry = tabq.entry_for(scan);
-      NED_ASSIGN_OR_RETURN(const std::vector<TraceTuple>* tuples,
-                           input->AliasTuples(scan->alias));
-      entry.input.reserve(tuples->size());
-      for (const TraceTuple& t : *tuples) {
-        entry.input.push_back(&t);
-        rid_index[t.rid] = &t;
-      }
       auto it = compat.dir_by_alias.find(scan->alias);
       if (it != compat.dir_by_alias.end()) {
         entry.compatibles.insert(it->second.begin(), it->second.end());
@@ -452,14 +443,7 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
         mark_partial(output_result.status(), m);
         break;
       }
-      entry.output = std::move(output_result).value();
-      if (m->parent != nullptr) {
-        TabQEntry& parent = tabq.entry_for(m->parent);
-        for (const TraceTuple& t : *entry.output) {
-          parent.input.push_back(&t);
-          rid_index[t.rid] = &t;
-        }
-      }
+      entry.output = *output_result;
       if (entry.output->empty()) {
         empty_output.push_back(m);
         if (!entry.compatibles.empty()) {
@@ -486,22 +470,24 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
       std::unordered_set<Rid> successors;  // valid successors in m.Output
       std::unordered_set<Rid> covered;     // compatibles with a successor
       std::unordered_set<TupleId> surviving_dirs;
-      for (const TraceTuple& o : *entry.output) {
+      const Block& out = *entry.output;
+      for (size_t row = 0; row < out.size(); ++row) {
         NED_EXEC_TICK(ctx);
         // Valid successor of a compatible tuple (Notation 2.1): lineage
         // within D, touching Dir, derived from a compatible input tuple.
-        if (!BaseSetSubsetOf(o.lineage, compat.all)) continue;
-        if (!BaseSetIntersects(o.lineage, compat.dir)) continue;
+        const IdSpan lineage = out.lineage(row);
+        if (!BaseSetSubsetOf(lineage, compat.all)) continue;
+        if (!BaseSetIntersects(lineage, compat.dir)) continue;
         bool from_compatible = false;
-        for (Rid pred : o.preds) {
+        for (Rid pred : out.preds(row)) {
           if (entry.compatibles.count(pred) > 0) {
             from_compatible = true;
             covered.insert(pred);
           }
         }
         if (from_compatible) {
-          successors.insert(o.rid);
-          for (TupleId dir_id : BaseSetIntersection(o.lineage, compat.dir)) {
+          successors.insert(out.rid(row));
+          for (TupleId dir_id : BaseSetIntersection(lineage, compat.dir)) {
             surviving_dirs.insert(dir_id);
           }
         }
@@ -537,26 +523,21 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
               // m.Input: union of children outputs; a side satisfies
               // cond-alpha if its typed tuple set does.
               for (const auto& child : m->children) {
-                std::vector<const TraceTuple*> side;
-                const std::vector<TraceTuple>* child_out =
-                    tabq.entry_for(child.get()).output;
+                const Block* child_out = tabq.entry_for(child.get()).output;
                 if (child_out == nullptr) continue;
-                for (const TraceTuple& t : *child_out) side.push_back(&t);
                 NED_ASSIGN_OR_RETURN(
                     bool ok,
-                    SatisfiesCondAlpha(compat.cond_alpha, side,
+                    SatisfiesCondAlpha(compat.cond_alpha, *child_out,
                                        child->output_schema, aggregate_node_,
                                        ctx));
                 if (ok) return true;
               }
               return false;
             }());
-        std::vector<const TraceTuple*> out_tuples;
-        for (const TraceTuple& t : *entry.output) out_tuples.push_back(&t);
         NED_ASSIGN_OR_RETURN(
             bool out_ok,
-            SatisfiesCondAlpha(compat.cond_alpha, out_tuples, m->output_schema,
-                               aggregate_node_, ctx));
+            SatisfiesCondAlpha(compat.cond_alpha, *entry.output,
+                               m->output_schema, aggregate_node_, ctx));
         if (in_ok && !out_ok) record_picky(m, blocked, surviving_dirs, true);
         else if (!blocked.empty()) record_picky(m, blocked, surviving_dirs, false);
       }
@@ -569,40 +550,32 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
   {
     obs::SpanScope answer_span(trace, "answer_construction");
     obs::PhasedSpanScope scope(phases, phase::kBottomUp, trace);
+    std::unordered_set<DetailedEntry, DetailedEntryHash> seen;
+    auto emit = [&](TupleId dir_id, const OperatorNode* node) {
+      const DetailedEntry entry{dir_id, node};
+      if (seen.insert(entry).second) result.answer.detailed.push_back(entry);
+    };
     for (const PickyRecord& rec : picky) {
       bool emitted_pair = false;
       for (Rid b : rec.blocked) {
-        auto it = rid_index.find(b);
-        if (it == rid_index.end()) continue;
-        BaseSet dirs = BaseSetIntersection(it->second->lineage, compat.dir);
-        for (TupleId dir_id : dirs) {
+        // A blocked rid decodes to the block (alias rows or node output)
+        // holding the input tuple it names.
+        size_t row = 0;
+        const Block* block = evaluator->BlockOfRid(b, &row);
+        if (block == nullptr) continue;
+        for (TupleId dir_id :
+             BaseSetIntersection(block->lineage(row), compat.dir)) {
           // Def. 2.11: the subquery is picky w.r.t. a Dir tuple only when no
           // valid successor of it survives the subquery.
           if (rec.surviving_dirs.count(dir_id) > 0) continue;
-          DetailedEntry entry;
-          entry.dir_tuple = dir_id;
-          entry.subquery = rec.node;
           emitted_pair = true;
-          if (std::find(result.answer.detailed.begin(),
-                        result.answer.detailed.end(),
-                        entry) == result.answer.detailed.end()) {
-            result.answer.detailed.push_back(entry);
-          }
+          emit(dir_id, rec.node);
         }
       }
       // A cond-alpha flip without blocked tuples yields the paper's (⊥, Q')
       // entry (Crime9's (null, m3)); with blocked tuples the concrete pairs
       // subsume it (Ex. 2.6 reports only (t4, Q3)).
-      if (rec.cond_alpha_flip && !emitted_pair) {
-        DetailedEntry entry;
-        entry.dir_tuple = kInvalidTupleId;
-        entry.subquery = rec.node;
-        if (std::find(result.answer.detailed.begin(),
-                      result.answer.detailed.end(),
-                      entry) == result.answer.detailed.end()) {
-          result.answer.detailed.push_back(entry);
-        }
-      }
+      if (rec.cond_alpha_flip && !emitted_pair) emit(kInvalidTupleId, rec.node);
     }
     result.answer.DeriveCondensed();
   }
@@ -619,9 +592,8 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
       ordinal_of[input->aliases()[i]] = i;
     }
     for (const std::string& alias : compat.indir_aliases) {
-      NED_ASSIGN_OR_RETURN(const std::vector<TraceTuple>* tuples,
-                           input->AliasTuples(alias));
-      if (tuples->empty()) continue;  // no d in I|S to be picky about
+      NED_ASSIGN_OR_RETURN(const Block* rows, input->AliasBlock(alias));
+      if (rows->empty()) continue;  // no d in I|S to be picky about
       uint32_t ordinal = ordinal_of.at(alias);
       const OperatorNode* scan = nullptr;
       for (const OperatorNode* s : tree_->scans()) {
@@ -637,7 +609,7 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
           break;
         }
         const TabQEntry& entry = tabq.entry_for(m);
-        const std::vector<TraceTuple>* output = entry.output;
+        const Block* output = entry.output;
         if (output == nullptr) {
           // Early termination stopped the traversal below m, but Def. 2.14
           // ranges over the *whole* tree: evaluate m on demand (memoized in
@@ -655,9 +627,9 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
           output = *evaluated;
         }
         bool has_successor = false;
-        for (const TraceTuple& o : *output) {
+        for (size_t row = 0; row < output->size(); ++row) {
           NED_EXEC_TICK(ctx);
-          for (TupleId id : o.lineage) {
+          for (TupleId id : output->lineage(row)) {
             if (TupleIdAlias(id) == ordinal) {
               has_successor = true;
               break;

@@ -44,9 +44,9 @@ std::optional<Value> ValueOfBlockedTuple(const QueryInput& input, TupleId id,
   if (!schema.ok()) return std::nullopt;
   std::optional<size_t> idx = (*schema)->IndexOf(attr);
   if (!idx.has_value()) return std::nullopt;
-  const TraceTuple* tuple = input.FindById(id);
+  const Tuple* tuple = input.FindById(id);
   if (tuple == nullptr) return std::nullopt;
-  return tuple->values.at(*idx);
+  return tuple->at(*idx);
 }
 
 /// Builds the minimal relaxation of `attr cop bound` that also admits every

@@ -35,8 +35,19 @@ std::string TabQ::ToString(const QueryInput& input) const {
   rows.push_back(row_of("Parent", [](const TabQEntry& e) {
     return e.parent() == nullptr ? std::string("-") : e.parent()->name;
   }));
-  rows.push_back(row_of("|Input|", [](const TabQEntry& e) {
-    return std::to_string(e.input.size());
+  // |m.Input|: the alias's rows for a scan, else the rows of the children
+  // evaluated so far.
+  rows.push_back(row_of("|Input|", [&](const TabQEntry& e) {
+    if (e.node->is_leaf()) {
+      auto rows = input.AliasBlock(e.node->alias);
+      return std::to_string(rows.ok() ? (*rows)->size() : 0);
+    }
+    size_t n = 0;
+    for (const auto& child : e.node->children) {
+      const Block* out = entry_for(child.get()).output;
+      if (out != nullptr) n += out->size();
+    }
+    return std::to_string(n);
   }));
   rows.push_back(row_of("|Output|", [](const TabQEntry& e) {
     return e.output == nullptr ? std::string("-")
@@ -54,8 +65,8 @@ std::string TabQ::ToString(const QueryInput& input) const {
     if (e.output == nullptr) return "-";
     if (e.output->size() > kMaxShown) return "...";
     std::vector<std::string> parts;
-    for (const TraceTuple& t : *e.output) {
-      parts.push_back(HowProvenance(t, input));
+    for (size_t i = 0; i < e.output->size(); ++i) {
+      parts.push_back(HowProvenance(e.output->lineage(i), input));
     }
     return Join(parts, " ; ");
   }));

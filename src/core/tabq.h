@@ -2,9 +2,10 @@
 /// \brief The primary global structure TabQ (paper Sec. 3.1, 2c).
 ///
 /// TabQ keeps, for every subquery m of Q (in decreasing-depth order): its
-/// input and output tuple sets, the compatible tuples present in its input,
-/// its level/parent/operator, and -- added by FindSuccessors -- the blocked
-/// compatibles. It also backs the Table 1 / Table 2 renderings of the paper.
+/// output block (its input is its children's outputs), the compatible
+/// tuples present in its input, its level/parent/operator, and -- added by
+/// FindSuccessors -- the blocked compatibles. It also backs the Table 1 /
+/// Table 2 renderings of the paper.
 
 #ifndef NED_CORE_TABQ_H_
 #define NED_CORE_TABQ_H_
@@ -23,12 +24,11 @@ namespace ned {
 struct TabQEntry {
   const OperatorNode* node = nullptr;
 
-  /// m.Input: the tuples of the children's outputs (or the base instance for
-  /// a scan). Stored as pointers into the evaluator/input materialisations.
-  std::vector<const TraceTuple*> input;
-
-  /// m.Output: set after the node is evaluated; nullptr before.
-  const std::vector<TraceTuple>* output = nullptr;
+  /// m.Output: the evaluator's block for m, set after m is evaluated;
+  /// nullptr before. m.Input is not copied: it is the children's outputs
+  /// (or the alias's base rows for a scan), and any input tuple is reached
+  /// by decoding its rid (Evaluator::BlockOfRid).
+  const Block* output = nullptr;
 
   /// m.Compatibles: rids of input tuples that are compatible tuples or valid
   /// successors thereof.

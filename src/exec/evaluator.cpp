@@ -1,11 +1,15 @@
 #include "exec/evaluator.h"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
+#include <optional>
+#include <span>
 
 #include "algebra/fingerprint.h"
 #include "cache/subtree_cache.h"
 #include "common/strings.h"
+#include "exec/parallel.h"
+#include "expr/expression.h"
 
 namespace ned {
 
@@ -20,23 +24,14 @@ Result<QueryInput> QueryInput::Build(const QueryTree& tree, const Database& db,
   for (const OperatorNode* scan : tree.scans()) {
     NED_RETURN_NOT_OK(CheckExec(ctx));
     NED_ASSIGN_OR_RETURN(const Relation* rel, db.GetRelation(scan->base_table));
+    NED_CHECK(rel->schema().size() == scan->output_schema.size());
     AliasData data;
     data.schema = scan->output_schema;
-    data.ordinal = ordinal;
+    data.relation = rel;
+    data.rows = Block::View(&rel->rows(), rel->schema().size(),
+                            MakeTupleId(ordinal, 0));
     data.data_version = rel->data_version();
-    data.tuples.reserve(rel->size());
-    for (size_t row = 0; row < rel->size(); ++row) {
-      NED_EXEC_TICK(ctx);
-      TraceTuple t;
-      t.rid = MakeTupleId(ordinal, row);
-      t.values = rel->row(row);
-      t.lineage = {t.rid};
-      if (ctx != nullptr) {
-        ctx->ChargeRows(1);
-        ctx->ChargeBytes(sizeof(TraceTuple) + t.values.size() * sizeof(Value));
-      }
-      data.tuples.push_back(std::move(t));
-    }
+    if (ctx != nullptr) ctx->ChargeRows(rel->size());
     input.alias_order_.push_back(scan->alias);
     input.by_alias_.emplace(scan->alias, std::move(data));
     ++ordinal;
@@ -44,11 +39,10 @@ Result<QueryInput> QueryInput::Build(const QueryTree& tree, const Database& db,
   return input;
 }
 
-Result<const std::vector<TraceTuple>*> QueryInput::AliasTuples(
-    const std::string& alias) const {
+Result<const Block*> QueryInput::AliasBlock(const std::string& alias) const {
   auto it = by_alias_.find(alias);
   if (it == by_alias_.end()) return Status::NotFound("no such alias: " + alias);
-  return &it->second.tuples;
+  return &it->second.rows;
 }
 
 Result<const Schema*> QueryInput::AliasSchema(const std::string& alias) const {
@@ -57,13 +51,13 @@ Result<const Schema*> QueryInput::AliasSchema(const std::string& alias) const {
   return &it->second.schema;
 }
 
-const TraceTuple* QueryInput::FindById(TupleId id) const {
+const Tuple* QueryInput::FindById(TupleId id) const {
   uint32_t ordinal = TupleIdAlias(id);
   if (ordinal >= alias_order_.size()) return nullptr;
-  const AliasData& data = by_alias_.at(alias_order_[ordinal]);
+  const Relation* rel = by_alias_.at(alias_order_[ordinal]).relation;
   uint64_t row = TupleIdRow(id);
-  if (row >= data.tuples.size()) return nullptr;
-  return &data.tuples[row];
+  if (row >= rel->size()) return nullptr;
+  return &rel->row(row);
 }
 
 std::string QueryInput::AliasOfId(TupleId id) const {
@@ -73,126 +67,443 @@ std::string QueryInput::AliasOfId(TupleId id) const {
 }
 
 std::string QueryInput::DisplayTuple(TupleId id) const {
-  const TraceTuple* t = FindById(id);
+  const Tuple* t = FindById(id);
   std::string alias = AliasOfId(id);
   if (t == nullptr || alias.empty()) return StrCat("?#", id);
   const Schema& schema = by_alias_.at(alias).schema;
-  if (schema.size() > 0 && t->values.size() > 0) {
-    return alias + "." + schema.at(0).name + ":" + t->values.at(0).ToString();
+  if (schema.size() > 0 && t->size() > 0) {
+    return alias + "." + schema.at(0).name + ":" + t->at(0).ToString();
   }
   return alias + "#" + std::to_string(TupleIdRow(id));
 }
 
 size_t QueryInput::TotalTuples() const {
   size_t total = 0;
-  for (const auto& [_, data] : by_alias_) total += data.tuples.size();
+  for (const auto& [_, data] : by_alias_) total += data.rows.size();
   return total;
 }
 
-std::string HowProvenance(const TraceTuple& tuple, const QueryInput& input) {
+std::string HowProvenance(const IdSpan& lineage, const QueryInput& input) {
   std::vector<std::string> parts;
-  parts.reserve(tuple.lineage.size());
-  for (TupleId id : tuple.lineage) parts.push_back(input.DisplayTuple(id));
+  parts.reserve(lineage.size());
+  for (TupleId id : lineage) parts.push_back(input.DisplayTuple(id));
   return Join(parts, " * ");
 }
 
 // ---------------------------------------------------------------------------
-// Aggregate computation (shared with NedExplain's cond-alpha checks)
+// Row grouping, charging and partitioning helpers
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// MurmurHash3's 64-bit finalizer: spreads Value::Hash (identity on ints)
+/// over the low bits the open-addressing table masks with.
+uint64_t Mix(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// Tuple::Hash of `row`'s values at `cols`. Value::Hash is consistent with
+/// both exact equality and numeric-coercing SQL equality.
+uint64_t HashCols(const Value* row, const std::vector<size_t>& cols) {
+  size_t h = 0x345678;
+  for (size_t c : cols) h = h * 1000003 ^ row[c].Hash();
+  return Mix(h);
+}
+
+/// One input of a grouping: a block whose rows are read through `cols`,
+/// restricted to `rows` when given.
+struct Side {
+  const Block* block;
+  const std::vector<size_t>* cols;
+  const std::vector<uint32_t>* rows = nullptr;  ///< nullptr = every row
+
+  size_t size() const { return rows != nullptr ? rows->size() : block->size(); }
+  uint32_t row(size_t k) const {
+    return rows != nullptr ? (*rows)[k] : static_cast<uint32_t>(k);
+  }
+};
+
+enum class KeyEq {
+  kExact,  ///< Value == (set semantics, grouping; NULL equals NULL)
+  kJoin,   ///< SQL equality with numeric coercion; NULL keys never match
+};
+
+/// Member reference: side in the high half, row in the low half.
+uint64_t Member(size_t side, uint32_t row) {
+  return (static_cast<uint64_t>(side) << 32) | row;
+}
+size_t MemberSide(uint64_t m) { return static_cast<size_t>(m >> 32); }
+uint32_t MemberRow(uint64_t m) { return static_cast<uint32_t>(m); }
+
+/// Rows of one or more sides grouped on their mapped columns: groups in
+/// first-seen order, members in input order, side by side. The one hash
+/// structure behind join builds, set-semantics merges, difference and
+/// aggregation. Keys are compared in place against each group's first
+/// member, never copied into key tuples.
+class RowGroups {
+ public:
+  /// Groups every listed row of `sides`, ticking per row. A positive
+  /// `charge_arity` charges one output row of that arity per new group.
+  static Result<RowGroups> Build(std::vector<Side> sides, KeyEq eq,
+                                 ExecContext* ctx, size_t charge_arity);
+
+  size_t size() const { return first_.size(); }
+  std::span<const uint64_t> members(size_t g) const {
+    return std::span<const uint64_t>(members_.data() + offsets_[g],
+                                     offsets_[g + 1] - offsets_[g]);
+  }
+  size_t member_count() const { return members_.size(); }
+  /// Total lineage ids of all members: a bound on their merged lineages.
+  size_t member_lineage_ids() const {
+    size_t ids = 0;
+    for (uint64_t m : members_) {
+      ids += sides_[MemberSide(m)].block->lineage(MemberRow(m)).size();
+    }
+    return ids;
+  }
+  const std::vector<Side>& sides() const { return sides_; }
+
+  /// The first member's values and the columns its side is read through.
+  const Value* KeyRow(size_t g) const { return RowOf(first_[g]); }
+  const std::vector<size_t>& KeyCols(size_t g) const {
+    return *sides_[MemberSide(first_[g])].cols;
+  }
+
+  /// The group whose key equals `row` read through `cols`, or -1.
+  int64_t Find(const Value* row, const std::vector<size_t>& cols) const;
+
+ private:
+  const Value* RowOf(uint64_t member) const {
+    return sides_[MemberSide(member)]
+        .block->values(MemberRow(member))
+        .data();
+  }
+  bool KeyEquals(const Value* row, const std::vector<size_t>& cols,
+                 size_t g) const;
+  /// The group equal to `row`, inserting a group led by `member` if none.
+  std::pair<uint32_t, bool> FindOrInsert(uint64_t hash, const Value* row,
+                                         const std::vector<size_t>& cols,
+                                         uint64_t member);
+  void Rehash(size_t slots);
+
+  std::vector<Side> sides_;
+  KeyEq eq_ = KeyEq::kExact;
+  std::vector<uint64_t> first_;   // first member per group
+  std::vector<uint64_t> hashes_;  // key hash per group
+  std::vector<uint32_t> slots_;   // open addressing: group + 1, 0 = empty
+  std::vector<uint32_t> offsets_;  // CSR over members_
+  std::vector<uint64_t> members_;
+};
+
+constexpr uint32_t kNoGroup = UINT32_MAX;
+
+Result<RowGroups> RowGroups::Build(std::vector<Side> sides, KeyEq eq,
+                                   ExecContext* ctx, size_t charge_arity) {
+  RowGroups groups;
+  groups.sides_ = std::move(sides);
+  groups.eq_ = eq;
+  groups.slots_.assign(16, 0);
+  std::vector<uint32_t> group_of;
+  for (size_t s = 0; s < groups.sides_.size(); ++s) {
+    const Side& side = groups.sides_[s];
+    NED_CHECK(side.block->size() <= UINT32_MAX);
+    for (size_t k = 0; k < side.size(); ++k) {
+      NED_EXEC_TICK(ctx);
+      const uint32_t row = side.row(k);
+      const Value* values = side.block->values(row).data();
+      bool null_key = false;
+      if (eq == KeyEq::kJoin) {
+        for (size_t c : *side.cols) null_key = null_key || values[c].is_null();
+      }
+      if (null_key) {
+        group_of.push_back(kNoGroup);
+        continue;
+      }
+      auto [g, inserted] = groups.FindOrInsert(HashCols(values, *side.cols),
+                                               values, *side.cols,
+                                               Member(s, row));
+      if (inserted && charge_arity > 0 && ctx != nullptr) {
+        ctx->ChargeRows(1);
+        ctx->ChargeBytes(charge_arity * sizeof(Value));
+      }
+      group_of.push_back(g);
+    }
+  }
+  // Members in input order, grouped (a counting sort over group ids).
+  groups.offsets_.assign(groups.size() + 1, 0);
+  for (uint32_t g : group_of) {
+    if (g != kNoGroup) ++groups.offsets_[g + 1];
+  }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    groups.offsets_[g + 1] += groups.offsets_[g];
+  }
+  groups.members_.resize(groups.offsets_.back());
+  std::vector<uint32_t> next(groups.offsets_.begin(),
+                             groups.offsets_.end() - 1);
+  size_t i = 0;
+  for (size_t s = 0; s < groups.sides_.size(); ++s) {
+    const Side& side = groups.sides_[s];
+    for (size_t k = 0; k < side.size(); ++k, ++i) {
+      if (group_of[i] != kNoGroup) {
+        groups.members_[next[group_of[i]]++] = Member(s, side.row(k));
+      }
+    }
+  }
+  return groups;
+}
+
+bool RowGroups::KeyEquals(const Value* row, const std::vector<size_t>& cols,
+                          size_t g) const {
+  const Value* key = KeyRow(g);
+  const std::vector<size_t>& key_cols = KeyCols(g);
+  for (size_t k = 0; k < cols.size(); ++k) {
+    const Value& a = row[cols[k]];
+    const Value& b = key[key_cols[k]];
+    if (eq_ == KeyEq::kExact ? !(a == b)
+                             : !Value::Satisfies(a, CompareOp::kEq, b)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+int64_t RowGroups::Find(const Value* row,
+                        const std::vector<size_t>& cols) const {
+  if (eq_ == KeyEq::kJoin) {
+    for (size_t c : cols) {
+      if (row[c].is_null()) return -1;  // NULL never joins
+    }
+  }
+  const uint64_t hash = HashCols(row, cols);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask; slots_[i] != 0; i = (i + 1) & mask) {
+    const uint32_t g = slots_[i] - 1;
+    if (hashes_[g] == hash && KeyEquals(row, cols, g)) return g;
+  }
+  return -1;
+}
+
+std::pair<uint32_t, bool> RowGroups::FindOrInsert(
+    uint64_t hash, const Value* row, const std::vector<size_t>& cols,
+    uint64_t member) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = hash & mask;
+  for (; slots_[i] != 0; i = (i + 1) & mask) {
+    const uint32_t g = slots_[i] - 1;
+    if (hashes_[g] == hash && KeyEquals(row, cols, g)) return {g, false};
+  }
+  const uint32_t g = static_cast<uint32_t>(first_.size());
+  first_.push_back(member);
+  hashes_.push_back(hash);
+  slots_[i] = g + 1;
+  if (first_.size() * 2 > slots_.size()) Rehash(slots_.size() * 2);
+  return {g, true};
+}
+
+void RowGroups::Rehash(size_t slots) {
+  slots_.assign(slots, 0);
+  const size_t mask = slots - 1;
+  for (uint32_t g = 0; g < first_.size(); ++g) {
+    size_t i = hashes_[g] & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = g + 1;
+  }
+}
+
+/// Per-row share of a block's charge, made as each output row is decided so
+/// budgets trip mid-operator: the row and its value slots.
+void ChargeRow(ExecContext* ctx, size_t arity) {
+  if (ctx == nullptr) return;
+  ctx->ChargeRows(1);
+  ctx->ChargeBytes(arity * sizeof(Value));
+}
+
+/// The rest of a finished block's real size beyond its per-row shares, so
+/// that a block's total charge is exactly Block::bytes().
+void ChargeRest(ExecContext* ctx, const Block& block) {
+  if (ctx == nullptr) return;
+  ctx->ChargeBytes(block.bytes() -
+                   block.size() * block.arity() * sizeof(Value));
+}
+
+/// Appends the merged lineage of `members` (rows of `sides`): one sorted
+/// union per output row, however many rows merge into it.
+void AddMergedLineage(BlockBuilder* out, const std::vector<Side>& sides,
+                      std::span<const uint64_t> members,
+                      std::vector<TupleId>* scratch) {
+  auto lineage_of = [&](uint64_t m) {
+    return sides[MemberSide(m)].block->lineage(MemberRow(m));
+  };
+  if (members.size() == 1) {
+    out->AddLineage(lineage_of(members[0]));
+    return;
+  }
+  scratch->clear();
+  for (uint64_t m : members) {
+    IdSpan ids = lineage_of(m);
+    scratch->insert(scratch->end(), ids.begin(), ids.end());
+  }
+  std::sort(scratch->begin(), scratch->end());
+  scratch->erase(std::unique(scratch->begin(), scratch->end()), scratch->end());
+  out->AddLineage(IdSpan(*scratch));
+}
+
+/// Appends group g's preds (its members' rids, input order) and lineage.
+void AddMergedProvenance(BlockBuilder* out, const RowGroups& groups, size_t g,
+                         std::vector<TupleId>* scratch) {
+  for (uint64_t m : groups.members(g)) {
+    out->AddPred(groups.sides()[MemberSide(m)].block->rid(MemberRow(m)));
+  }
+  AddMergedLineage(out, groups.sides(), groups.members(g), scratch);
+}
+
+/// Runs `morsel(begin, end, ctx, out)` over [0, n): in one call when the
+/// context plans no parallelism, else once per partition on the task pool,
+/// each governed by a worker shard. Partition outputs are appended in
+/// partition order, after folding each shard's charges and re-checking the
+/// limits, so the result is the serial production order exactly.
+template <typename T>
+Result<std::vector<T>> RunMorsels(
+    ExecContext* ctx, size_t n,
+    const std::function<Status(size_t, size_t, ExecContext*, std::vector<T>*)>&
+        morsel) {
+  const MorselPlan plan = PlanFor(ctx, n);
+  std::vector<T> out;
+  if (!plan.active()) {
+    NED_RETURN_NOT_OK(morsel(0, n, ctx, &out));
+    return out;
+  }
+  const size_t parts = plan.partitions;
+  std::vector<ExecContext> shards(parts);
+  std::vector<std::vector<T>> outs(parts);
+  std::vector<Status> statuses(parts, Status::OK());
+  for (size_t p = 0; p < parts; ++p) ctx->BeginWorkerShard(&shards[p]);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(parts);
+  for (size_t p = 0; p < parts; ++p) {
+    tasks.push_back([&, p] {
+      statuses[p] = morsel(plan.begin(p), plan.end(p), &shards[p], &outs[p]);
+    });
+  }
+  ctx->task_pool()->RunAndWait(tasks);
+  for (size_t p = 0; p < parts; ++p) {
+    ctx->FoldShard(shards[p]);
+    NED_RETURN_NOT_OK(ctx->CheckPoint());
+    NED_RETURN_NOT_OK(statuses[p]);
+    out.insert(out.end(), outs[p].begin(), outs[p].end());
+  }
+  return out;
+}
+
+/// Appends the aggregate values of `calls` over `members` (rows of `in`).
+Status AggregateInto(const Block& in, std::span<const uint64_t> members,
+                     const std::vector<AggCall>& calls,
+                     const std::vector<size_t>& arg_idx, ExecContext* ctx,
+                     std::vector<Value>* out) {
+  for (size_t c = 0; c < calls.size(); ++c) {
+    const AggCall& call = calls[c];
+    size_t idx = arg_idx[c];
+    int64_t count = 0;
+    double sum = 0;
+    bool numeric_ok = true;
+    std::optional<Value> min_v, max_v;
+    for (uint64_t m : members) {
+      NED_EXEC_TICK(ctx);
+      const Value& v = in.values(MemberRow(m)).at(idx);
+      if (v.is_null()) continue;
+      ++count;
+      if (v.is_numeric()) {
+        sum += v.NumericValue();
+      } else {
+        numeric_ok = false;
+      }
+      if (!min_v.has_value() || Value::Satisfies(v, CompareOp::kLt, *min_v)) {
+        min_v = v;
+      }
+      if (!max_v.has_value() || Value::Satisfies(v, CompareOp::kGt, *max_v)) {
+        max_v = v;
+      }
+    }
+    switch (call.fn) {
+      case AggFn::kCount:
+        out->push_back(Value::Int(count));
+        break;
+      case AggFn::kSum:
+        if (count == 0) {
+          out->push_back(Value::Null());
+        } else if (!numeric_ok) {
+          return Status::TypeError("sum over non-numeric attribute " +
+                                   call.arg.FullName());
+        } else {
+          out->push_back(Value::Real(sum));
+        }
+        break;
+      case AggFn::kAvg:
+        if (count == 0) {
+          out->push_back(Value::Null());
+        } else if (!numeric_ok) {
+          return Status::TypeError("avg over non-numeric attribute " +
+                                   call.arg.FullName());
+        } else {
+          out->push_back(Value::Real(sum / static_cast<double>(count)));
+        }
+        break;
+      case AggFn::kMin:
+        out->push_back(min_v.value_or(Value::Null()));
+        break;
+      case AggFn::kMax:
+        out->push_back(max_v.value_or(Value::Null()));
+        break;
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::vector<size_t>> ResolveAll(const Schema& schema,
+                                       const std::vector<Attribute>& attrs) {
+  std::vector<size_t> idx;
+  for (const auto& a : attrs) {
+    NED_ASSIGN_OR_RETURN(size_t i, schema.Resolve(a));
+    idx.push_back(i);
+  }
+  return idx;
+}
+
+Result<std::vector<size_t>> ResolveArgs(const Schema& schema,
+                                        const std::vector<AggCall>& calls) {
+  std::vector<size_t> idx;
+  for (const auto& call : calls) {
+    NED_ASSIGN_OR_RETURN(size_t i, schema.Resolve(call.arg));
+    idx.push_back(i);
+  }
+  return idx;
+}
+
+}  // namespace
 
 Result<std::vector<Tuple>> ComputeAggregateTuples(
     const std::vector<Attribute>& group_by, const std::vector<AggCall>& calls,
-    const std::vector<const TraceTuple*>& input, const Schema& input_schema,
-    const Schema& output_schema, ExecContext* ctx) {
-  (void)output_schema;  // layout is group values then agg values, by contract
-
-  std::vector<size_t> group_idx;
-  for (const auto& g : group_by) {
-    NED_ASSIGN_OR_RETURN(size_t idx, input_schema.Resolve(g));
-    group_idx.push_back(idx);
-  }
-  std::vector<size_t> arg_idx;
-  for (const auto& call : calls) {
-    NED_ASSIGN_OR_RETURN(size_t idx, input_schema.Resolve(call.arg));
-    arg_idx.push_back(idx);
-  }
-
-  // Group input tuples, preserving first-seen order for determinism.
-  std::unordered_map<Tuple, size_t, TupleHash> group_of;
-  std::vector<std::pair<Tuple, std::vector<const TraceTuple*>>> groups;
-  for (const TraceTuple* t : input) {
-    NED_EXEC_TICK(ctx);
-    std::vector<Value> key_values;
-    key_values.reserve(group_idx.size());
-    for (size_t idx : group_idx) key_values.push_back(t->values.at(idx));
-    Tuple key(std::move(key_values));
-    auto [it, inserted] = group_of.emplace(key, groups.size());
-    if (inserted) groups.emplace_back(std::move(key), std::vector<const TraceTuple*>{});
-    groups[it->second].second.push_back(t);
-  }
-
+    const Block& input, const Schema& input_schema, ExecContext* ctx) {
+  NED_ASSIGN_OR_RETURN(std::vector<size_t> group_idx,
+                       ResolveAll(input_schema, group_by));
+  NED_ASSIGN_OR_RETURN(std::vector<size_t> arg_idx,
+                       ResolveArgs(input_schema, calls));
+  NED_ASSIGN_OR_RETURN(
+      RowGroups groups,
+      RowGroups::Build({Side{&input, &group_idx}}, KeyEq::kExact, ctx, 0));
   std::vector<Tuple> out;
   out.reserve(groups.size());
-  for (const auto& [key, members] : groups) {
-    std::vector<Value> values = key.values();
-    for (size_t c = 0; c < calls.size(); ++c) {
-      const AggCall& call = calls[c];
-      size_t idx = arg_idx[c];
-      int64_t count = 0;
-      double sum = 0;
-      bool numeric_ok = true;
-      std::optional<Value> min_v, max_v;
-      for (const TraceTuple* t : members) {
-        NED_EXEC_TICK(ctx);
-        const Value& v = t->values.at(idx);
-        if (v.is_null()) continue;
-        ++count;
-        if (v.is_numeric()) {
-          sum += v.NumericValue();
-        } else {
-          numeric_ok = false;
-        }
-        if (!min_v.has_value() ||
-            Value::Satisfies(v, CompareOp::kLt, *min_v)) {
-          min_v = v;
-        }
-        if (!max_v.has_value() ||
-            Value::Satisfies(v, CompareOp::kGt, *max_v)) {
-          max_v = v;
-        }
-      }
-      switch (call.fn) {
-        case AggFn::kCount:
-          values.push_back(Value::Int(count));
-          break;
-        case AggFn::kSum:
-          if (count == 0) {
-            values.push_back(Value::Null());
-          } else if (!numeric_ok) {
-            return Status::TypeError("sum over non-numeric attribute " +
-                                     call.arg.FullName());
-          } else {
-            values.push_back(Value::Real(sum));
-          }
-          break;
-        case AggFn::kAvg:
-          if (count == 0) {
-            values.push_back(Value::Null());
-          } else if (!numeric_ok) {
-            return Status::TypeError("avg over non-numeric attribute " +
-                                     call.arg.FullName());
-          } else {
-            values.push_back(Value::Real(sum / static_cast<double>(count)));
-          }
-          break;
-        case AggFn::kMin:
-          values.push_back(min_v.value_or(Value::Null()));
-          break;
-        case AggFn::kMax:
-          values.push_back(max_v.value_or(Value::Null()));
-          break;
-      }
-    }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    std::vector<Value> values;
+    const Value* key = groups.KeyRow(g);
+    for (size_t idx : group_idx) values.push_back(key[idx]);
+    NED_RETURN_NOT_OK(
+        AggregateInto(input, groups.members(g), calls, arg_idx, ctx, &values));
     out.emplace_back(std::move(values));
   }
   return out;
@@ -202,11 +513,25 @@ Result<std::vector<Tuple>> ComputeAggregateTuples(
 // Evaluator
 // ---------------------------------------------------------------------------
 
+Evaluator::Evaluator(const QueryTree* tree, const QueryInput* input,
+                     ExecContext* ctx, SubtreeCache* cache)
+    : tree_(tree), input_(input), ctx_(ctx), cache_(cache) {
+  outputs_.resize(tree_->bottom_up().size());
+  for (size_t i = 0; i < tree_->bottom_up().size(); ++i) {
+    node_ordinal_.emplace(tree_->bottom_up()[i], i);
+  }
+}
+
+bool Evaluator::Cacheable(const OperatorNode* node) const {
+  return cache_ != nullptr && cache_->enabled() && !node->is_leaf();
+}
+
 const std::string& Evaluator::CacheKeyFor(const OperatorNode* node) {
   auto it = cache_keys_.find(node);
   if (it != cache_keys_.end()) return it->second;
-  std::string key = StrCat("(", NodeFingerprint(*node), "#o",
-                           node_ordinal_.at(node));
+  // Appended, not StrCat'd: keys are derived on every evaluation.
+  std::string key = "(" + NodeFingerprint(*node) + "#o" +
+                    std::to_string(node_ordinal_.at(node));
   if (node->is_leaf()) {
     // Pin the alias ordinal (it determines base rids) and the backing
     // relation's data version (it determines rows); together with the
@@ -220,8 +545,8 @@ const std::string& Evaluator::CacheKeyFor(const OperatorNode* node) {
         break;
       }
     }
-    key += StrCat("#a", alias_ordinal, "#v",
-                  input_->AliasDataVersion(alias_ordinal));
+    key += "#a" + std::to_string(alias_ordinal) + "#v" +
+           std::to_string(input_->AliasDataVersion(alias_ordinal));
   }
   for (const auto& child : node->children) {
     key += ";";
@@ -232,15 +557,36 @@ const std::string& Evaluator::CacheKeyFor(const OperatorNode* node) {
   return pos->second;
 }
 
+const Block* Evaluator::BlockOfRid(Rid rid, size_t* row) const {
+  const Block* block = nullptr;
+  if (IsBaseRid(rid)) {
+    const uint32_t alias = TupleIdAlias(rid);
+    if (alias >= input_->aliases().size()) return nullptr;
+    block = &input_->AliasBlock(alias);
+  } else {
+    const size_t ordinal = ((rid & ~kIntermediateRidBase) >> 40) - 1;
+    if (ordinal >= outputs_.size()) return nullptr;
+    block = outputs_[ordinal].get();
+  }
+  if (block == nullptr || rid - block->rid_base() >= block->size()) {
+    return nullptr;
+  }
+  *row = rid - block->rid_base();
+  return block;
+}
+
 Result<bool> Evaluator::TryReplayCacheHit(const OperatorNode* node) {
-  if (Rows hit = cache_->Lookup(CacheKeyFor(node))) {
+  if (BlockPtr hit = cache_->Lookup(CacheKeyFor(node))) {
     // Replay the exact charges recomputation would make, tick-checked so
     // a governed run can still trip its budgets mid-hit. On a trip the
-    // node stays unevaluated (outputs_ untouched) -- same observable
-    // state as a trip during Compute.
-    for (const TraceTuple& t : *hit) {
-      NED_EXEC_TICK(ctx_);
-      ChargeTuple(ctx_, t);
+    // node stays unevaluated -- same observable state as a trip during
+    // Compute.
+    if (ctx_ != nullptr) {
+      for (size_t i = 0; i < hit->size(); ++i) {
+        NED_EXEC_TICK(ctx_);
+        ChargeRow(ctx_, hit->arity());
+      }
+      ChargeRest(ctx_, *hit);
     }
     // Post-replay boundary check, symmetric with the post-Compute one in
     // ComputeAndStore: without it a pure-hit evaluation could blow its row
@@ -248,43 +594,36 @@ Result<bool> Evaluator::TryReplayCacheHit(const OperatorNode* node) {
     NED_RETURN_NOT_OK(CheckExec(ctx_));
     tuples_produced_ += hit->size();
     ++cache_hits_;
-    outputs_.emplace(node, std::move(hit));
+    outputs_[node_ordinal_.at(node)] = std::move(hit);
     return true;
   }
   ++cache_misses_;
   return false;
 }
 
-Result<const std::vector<TraceTuple>*> Evaluator::ComputeAndStore(
-    const OperatorNode* node) {
-  // Deterministic rid layout: each node's output rows take rids base+0,
-  // base+1, ... regardless of evaluation order, so cached outputs replay
-  // verbatim. Children have finished computing by contract, so the scope's
-  // counter cannot interleave with theirs.
-  EvalScope scope{ctx_, RidBaseFor(node)};
-  NED_ASSIGN_OR_RETURN(std::vector<TraceTuple> out, Compute(node, scope));
-  tuples_produced_ += out.size();
-  NED_RETURN_NOT_OK(CheckExec(ctx_));
-  const bool cacheable =
-      cache_ != nullptr && cache_->enabled() && !node->is_leaf();
-  Rows rows = std::make_shared<const std::vector<TraceTuple>>(std::move(out));
-  if (cacheable) cache_->Insert(CacheKeyFor(node), rows);
-  auto [pos, _] = outputs_.emplace(node, std::move(rows));
-  return pos->second.get();
+const Block* Evaluator::Store(const OperatorNode* node, Block block) {
+  BlockPtr ptr = std::make_shared<const Block>(std::move(block));
+  if (Cacheable(node)) cache_->Insert(CacheKeyFor(node), ptr);
+  BlockPtr& slot = outputs_[node_ordinal_.at(node)];
+  slot = std::move(ptr);
+  return slot.get();
 }
 
-Result<const std::vector<TraceTuple>*> Evaluator::EvalNode(
-    const OperatorNode* node) {
-  auto it = outputs_.find(node);
-  if (it != outputs_.end()) return it->second.get();
+Result<const Block*> Evaluator::ComputeAndStore(const OperatorNode* node) {
+  NED_ASSIGN_OR_RETURN(Block block, Compute(node, ctx_));
+  tuples_produced_ += block.size();
+  NED_RETURN_NOT_OK(CheckExec(ctx_));
+  return Store(node, std::move(block));
+}
+
+Result<const Block*> Evaluator::EvalNode(const OperatorNode* node) {
+  if (const Block* done = TryGetOutput(node)) return done;
   // Operator boundary: a governed evaluation re-checks its limits before
   // descending into (and after finishing) each operator.
   NED_RETURN_NOT_OK(CheckExec(ctx_));
-  const bool cacheable =
-      cache_ != nullptr && cache_->enabled() && !node->is_leaf();
-  if (cacheable) {
+  if (Cacheable(node)) {
     NED_ASSIGN_OR_RETURN(bool hit, TryReplayCacheHit(node));
-    if (hit) return outputs_.at(node).get();
+    if (hit) return TryGetOutput(node);
   }
   for (const auto& child : node->children) {
     auto child_result = EvalNode(child.get());
@@ -308,15 +647,14 @@ Status Evaluator::EvalNodes(const std::vector<const OperatorNode*>& nodes) {
   // that genuinely need computing. Fan-out requires every child to be
   // evaluated already (NedExplain's bottom-up level walk guarantees it);
   // anything else falls back to the serial walk.
-  const bool cache_on = cache_ != nullptr && cache_->enabled();
   std::vector<const OperatorNode*> pending;
   for (const OperatorNode* node : nodes) {
-    if (outputs_.count(node) > 0) continue;
+    if (TryGetOutput(node) != nullptr) continue;
     for (const auto& child : node->children) {
-      if (outputs_.count(child.get()) == 0) return eval_serially();
+      if (TryGetOutput(child.get()) == nullptr) return eval_serially();
     }
     NED_RETURN_NOT_OK(CheckExec(ctx_));
-    if (cache_on && !node->is_leaf()) {
+    if (Cacheable(node)) {
       NED_ASSIGN_OR_RETURN(bool hit, TryReplayCacheHit(node));
       if (hit) continue;
     }
@@ -337,17 +675,16 @@ Status Evaluator::EvalNodes(const std::vector<const OperatorNode*>& nodes) {
   // walk would produce, so observable state is identical.
   const size_t n = pending.size();
   std::vector<ExecContext> shards(n);
-  std::vector<std::vector<TraceTuple>> outs(n);
+  std::vector<std::optional<Block>> outs(n);
   std::vector<Status> statuses(n, Status::OK());
   for (size_t i = 0; i < n; ++i) ctx_->BeginWorkerShard(&shards[i]);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     tasks.push_back([this, &shards, &outs, &statuses, &pending, i] {
-      EvalScope scope{&shards[i], RidBaseFor(pending[i])};
-      auto result = Compute(pending[i], scope);
+      auto result = Compute(pending[i], &shards[i]);
       if (result.ok()) {
-        outs[i] = std::move(result).value();
+        outs[i].emplace(std::move(result).value());
       } else {
         statuses[i] = result.status();
       }
@@ -358,207 +695,163 @@ Status Evaluator::EvalNodes(const std::vector<const OperatorNode*>& nodes) {
     ctx_->FoldShard(shards[i]);
     NED_RETURN_NOT_OK(ctx_->CheckPoint());
     NED_RETURN_NOT_OK(statuses[i]);
-    tuples_produced_ += outs[i].size();
-    Rows rows =
-        std::make_shared<const std::vector<TraceTuple>>(std::move(outs[i]));
-    if (cache_on && !pending[i]->is_leaf()) {
-      cache_->Insert(CacheKeyFor(pending[i]), rows);
-    }
-    outputs_.emplace(pending[i], std::move(rows));
+    tuples_produced_ += outs[i]->size();
+    Store(pending[i], std::move(*outs[i]));
   }
   return Status::OK();
 }
 
-Result<std::vector<TraceTuple>> Evaluator::RunPartitioned(
-    EvalScope& scope, const MorselPlan& plan,
-    const std::function<Status(size_t, size_t, ExecContext*,
-                               std::vector<TraceTuple>*)>& morsel) {
-  const size_t parts = plan.partitions;
-  std::vector<ExecContext> shards(parts);
-  std::vector<std::vector<TraceTuple>> outs(parts);
-  std::vector<Status> statuses(parts, Status::OK());
-  for (size_t p = 0; p < parts; ++p) scope.ctx->BeginWorkerShard(&shards[p]);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(parts);
-  for (size_t p = 0; p < parts; ++p) {
-    tasks.push_back([&, p] {
-      statuses[p] = morsel(plan.begin(p), plan.end(p), &shards[p], &outs[p]);
-    });
-  }
-  scope.ctx->task_pool()->RunAndWait(tasks);
-  // Merge in partition order, assigning rids as rows are appended: morsels
-  // produce rows in input order within disjoint input ranges, so the
-  // concatenation is the serial production order and row i of the output
-  // gets rid base+i exactly as the serial loop would assign it.
-  std::vector<TraceTuple> out;
-  for (size_t p = 0; p < parts; ++p) {
-    scope.ctx->FoldShard(shards[p]);
-    NED_RETURN_NOT_OK(scope.ctx->CheckPoint());
-    NED_RETURN_NOT_OK(statuses[p]);
-    out.reserve(out.size() + outs[p].size());
-    for (TraceTuple& t : outs[p]) {
-      t.rid = scope.NextRid();
-      out.push_back(std::move(t));
-    }
-  }
-  return out;
-}
-
-const std::vector<TraceTuple>* Evaluator::TryGetOutput(
-    const OperatorNode* node) const {
-  auto it = outputs_.find(node);
-  return it == outputs_.end() ? nullptr : it->second.get();
-}
-
-Result<std::vector<const std::vector<TraceTuple>*>> Evaluator::InputsOf(
-    const OperatorNode* node) {
-  std::vector<const std::vector<TraceTuple>*> inputs;
-  if (node->is_leaf()) {
-    NED_ASSIGN_OR_RETURN(const std::vector<TraceTuple>* tuples,
-                         input_->AliasTuples(node->alias));
-    inputs.push_back(tuples);
-    return inputs;
-  }
-  for (const auto& child : node->children) {
-    NED_ASSIGN_OR_RETURN(const std::vector<TraceTuple>* out,
-                         EvalNode(child.get()));
-    inputs.push_back(out);
-  }
-  return inputs;
-}
-
-Result<std::vector<TraceTuple>> Evaluator::Compute(const OperatorNode* node,
-                                                   EvalScope& scope) {
+Result<Block> Evaluator::Compute(const OperatorNode* node,
+                                 ExecContext* ctx) const {
+  Result<Block> block = Status::Internal("unknown operator kind in Compute");
   switch (node->kind) {
     case OpKind::kScan: {
-      // Scan output is the alias's input instance verbatim (same base rids).
-      NED_ASSIGN_OR_RETURN(const std::vector<TraceTuple>* tuples,
-                           input_->AliasTuples(node->alias));
-      const MorselPlan plan = PlanFor(scope.ctx, tuples->size());
-      if (!plan.active()) return *tuples;
-      // Partitioned copy: scans keep base rids and (like the serial copy)
-      // make no charges, so workers just copy disjoint slices -- trivially
-      // identical to the serial copy, element for element.
-      std::vector<TraceTuple> out(tuples->size());
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(plan.partitions);
-      for (size_t p = 0; p < plan.partitions; ++p) {
-        tasks.push_back([&, p] {
-          for (size_t i = plan.begin(p); i < plan.end(p); ++i) {
-            out[i] = (*tuples)[i];
-          }
-        });
-      }
-      scope.ctx->task_pool()->RunAndWait(tasks);
-      return out;
+      // Scan output is the alias's input instance verbatim (same base rids),
+      // viewed in place; it makes no charges.
+      NED_ASSIGN_OR_RETURN(const Block* rows, input_->AliasBlock(node->alias));
+      return *rows;
     }
     case OpKind::kSelect:
-      return ComputeSelect(node, scope);
+      block = ComputeSelect(node, ctx);
+      break;
     case OpKind::kProject:
-      return ComputeProject(node, scope);
-    case OpKind::kJoin:
-      return ComputeJoin(node, scope);
     case OpKind::kUnion:
-      return ComputeUnion(node, scope);
     case OpKind::kDifference:
-      return ComputeDifference(node, scope);
+      block = ComputeMerge(node, ctx);
+      break;
+    case OpKind::kJoin:
+      block = ComputeJoin(node, ctx);
+      break;
     case OpKind::kAggregate:
-      return ComputeAggregate(node, scope);
+      block = ComputeAggregate(node, ctx);
+      break;
   }
-  return Status::Internal("unknown operator kind in Compute");
+  if (block.ok()) ChargeRest(ctx, *block);
+  return block;
 }
 
-Result<std::vector<TraceTuple>> Evaluator::ComputeSelect(
-    const OperatorNode* node, EvalScope& scope) {
-  const std::vector<TraceTuple>& in = *TryGetOutput(node->children[0].get());
-  const Schema& schema = node->children[0]->output_schema;
-  const MorselPlan plan = PlanFor(scope.ctx, in.size());
-  if (plan.active()) {
-    // Each morsel filters its input slice in order, leaving rids unassigned;
-    // the partition-order merge in RunPartitioned assigns them, reproducing
-    // the serial production order exactly (a filter is order-preserving).
-    return RunPartitioned(
-        scope, plan,
-        [&](size_t begin, size_t end, ExecContext* shard,
-            std::vector<TraceTuple>* out) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            const TraceTuple& t = in[i];
-            NED_EXEC_TICK(shard);
-            NED_ASSIGN_OR_RETURN(bool keep,
-                                 node->predicate->EvalBool(t.values, schema));
-            if (!keep) continue;
-            TraceTuple o;
-            o.values = t.values;
-            o.preds = {t.rid};
-            o.lineage = t.lineage;
-            ChargeTuple(shard, o);
-            out->push_back(std::move(o));
-          }
-          return Status::OK();
-        });
+Result<Block> Evaluator::ComputeSelect(const OperatorNode* node,
+                                       ExecContext* ctx) const {
+  const Block& in = Output(node->children[0].get());
+  const size_t arity = node->output_schema.size();
+  const BoundPredicate predicate =
+      BoundPredicate::Bind(*node->predicate, node->children[0]->output_schema);
+  NED_CHECK(in.size() <= UINT32_MAX);
+  // Each morsel filters its input slice in order; the partition-order merge
+  // reproduces the serial production order exactly (a filter is
+  // order-preserving).
+  NED_ASSIGN_OR_RETURN(
+      std::vector<uint32_t> kept,
+      RunMorsels<uint32_t>(
+          ctx, in.size(),
+          [&](size_t begin, size_t end, ExecContext* c,
+              std::vector<uint32_t>* out) -> Status {
+            for (size_t i = begin; i < end; ++i) {
+              NED_EXEC_TICK(c);
+              NED_ASSIGN_OR_RETURN(bool keep,
+                                   predicate.EvalBool(in.values(i).data()));
+              if (!keep) continue;
+              ChargeRow(c, arity);
+              out->push_back(static_cast<uint32_t>(i));
+            }
+            return Status::OK();
+          }));
+  size_t ids = 0;
+  for (uint32_t i : kept) ids += in.lineage(i).size();
+  BlockBuilder out(arity, RidBaseFor(node), 1);
+  out.Reserve(kept.size(), ids, 0);
+  for (uint32_t i : kept) {
+    out.AddValues(in.values(i));
+    out.AddLineage(in.lineage(i));
+    out.AddPred(in.rid(i));
+    out.EndRow();
   }
-  std::vector<TraceTuple> out;
-  for (const TraceTuple& t : in) {
-    NED_EXEC_TICK(scope.ctx);
-    NED_ASSIGN_OR_RETURN(bool keep, node->predicate->EvalBool(t.values, schema));
-    if (!keep) continue;
-    TraceTuple o;
-    o.rid = scope.NextRid();
-    o.values = t.values;
-    o.preds = {t.rid};
-    o.lineage = t.lineage;
-    ChargeTuple(scope.ctx, o);
-    out.push_back(std::move(o));
-  }
-  return out;
+  return std::move(out).Finish();
 }
 
-Result<std::vector<TraceTuple>> Evaluator::ComputeProject(
-    const OperatorNode* node, EvalScope& scope) {
-  const std::vector<TraceTuple>& in = *TryGetOutput(node->children[0].get());
-  const Schema& child_schema = node->children[0]->output_schema;
-  std::vector<size_t> indices;
-  for (const auto& a : node->projection) {
-    NED_ASSIGN_OR_RETURN(size_t idx, child_schema.Resolve(a));
-    indices.push_back(idx);
-  }
-  // Set semantics: value-equal projections merge; lineage is the union of all
-  // contributing tuples' lineages (Cui & Widom projection lineage). Dedup
-  // operators stay coordinator-serial: first-seen order *defines* the rid
-  // order, so a partitioned dedup would have to re-merge serially anyway
-  // (docs/PARALLELISM.md).
-  std::unordered_map<Tuple, size_t, TupleHash> seen;
-  std::vector<TraceTuple> out;
-  for (const TraceTuple& t : in) {
-    NED_EXEC_TICK(scope.ctx);
-    std::vector<Value> values;
-    values.reserve(indices.size());
-    for (size_t idx : indices) values.push_back(t.values.at(idx));
-    Tuple projected(std::move(values));
-    auto [it, inserted] = seen.emplace(projected, out.size());
-    if (inserted) {
-      TraceTuple o;
-      o.rid = scope.NextRid();
-      o.values = std::move(projected);
-      o.preds = {t.rid};
-      o.lineage = t.lineage;
-      ChargeTuple(scope.ctx, o);
-      out.push_back(std::move(o));
+Result<Block> Evaluator::ComputeMerge(const OperatorNode* node,
+                                      ExecContext* ctx) const {
+  // Set semantics: value-equal rows merge; preds list every merged input row
+  // and lineage is the union of their lineages (Cui & Widom lineage for
+  // projection, union and difference). Merges stay coordinator-serial:
+  // first-seen order *defines* the rid order (docs/PARALLELISM.md).
+  const size_t arity = node->output_schema.size();
+  const Block& left = Output(node->children[0].get());
+  const Schema& ls = node->children[0]->output_schema;
+  // Column order of the output follows nu(left schema) for union and
+  // difference; map each side's columns to output positions.
+  auto mapping_for = [&](const Schema& side) -> Result<std::vector<size_t>> {
+    std::vector<size_t> map(arity, 0);
+    for (size_t out_i = 0; out_i < arity; ++out_i) {
+      const Attribute& target = node->output_schema.at(out_i);
+      bool found = false;
+      for (size_t i = 0; i < side.size(); ++i) {
+        if (node->renaming.Apply(side.at(i)) == target) {
+          map[out_i] = i;
+          found = true;
+          break;
+        }
+      }
+      if (!found) {
+        return Status::TypeError(
+            StrCat(node->kind == OpKind::kUnion ? "union" : "difference",
+                   " operand missing attribute ", target.FullName()));
+      }
+    }
+    return map;
+  };
+
+  std::vector<size_t> lmap, rmap;
+  std::vector<uint32_t> survivors;
+  std::vector<Side> sides;
+  if (node->kind == OpKind::kProject) {
+    NED_ASSIGN_OR_RETURN(lmap, ResolveAll(ls, node->projection));
+    sides.push_back(Side{&left, &lmap});
+  } else {
+    const Block& right = Output(node->children[1].get());
+    NED_ASSIGN_OR_RETURN(lmap, mapping_for(ls));
+    NED_ASSIGN_OR_RETURN(rmap, mapping_for(node->children[1]->output_schema));
+    if (node->kind == OpKind::kUnion) {
+      sides = {Side{&left, &lmap}, Side{&right, &rmap}};
     } else {
-      TraceTuple& o = out[it->second];
-      o.preds.push_back(t.rid);
-      o.lineage = BaseSetUnion(o.lineage, t.lineage);
+      // Left rows whose aligned value has no right counterpart survive; a
+      // survivor's lineage is its left lineage (Cui & Widom difference).
+      NED_ASSIGN_OR_RETURN(
+          RowGroups right_values,
+          RowGroups::Build({Side{&right, &rmap}}, KeyEq::kExact, ctx, 0));
+      for (size_t i = 0; i < left.size(); ++i) {
+        NED_EXEC_TICK(ctx);
+        if (right_values.Find(left.values(i).data(), lmap) < 0) {
+          survivors.push_back(static_cast<uint32_t>(i));
+        }
+      }
+      sides.push_back(Side{&left, &lmap, &survivors});
     }
   }
-  return out;
+
+  NED_ASSIGN_OR_RETURN(RowGroups groups,
+                       RowGroups::Build(std::move(sides), KeyEq::kExact, ctx,
+                                        arity));
+  BlockBuilder out(arity, RidBaseFor(node), 0);
+  out.Reserve(groups.size(), groups.member_lineage_ids(),
+              groups.member_count());
+  std::vector<TupleId> scratch;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const Value* key = groups.KeyRow(g);
+    for (size_t c : groups.KeyCols(g)) out.AddValue(key[c]);
+    AddMergedProvenance(&out, groups, g, &scratch);
+    out.EndRow();
+  }
+  return std::move(out).Finish();
 }
 
-Result<std::vector<TraceTuple>> Evaluator::ComputeJoin(
-    const OperatorNode* node, EvalScope& scope) {
-  const std::vector<TraceTuple>& left = *TryGetOutput(node->children[0].get());
-  const std::vector<TraceTuple>& right = *TryGetOutput(node->children[1].get());
+Result<Block> Evaluator::ComputeJoin(const OperatorNode* node,
+                                     ExecContext* ctx) const {
+  const Block& left = Output(node->children[0].get());
+  const Block& right = Output(node->children[1].get());
   const Schema& ls = node->children[0]->output_schema;
   const Schema& rs = node->children[1]->output_schema;
+  const size_t arity = node->output_schema.size();
 
   // Key columns from the renaming triples.
   std::vector<size_t> lkey, rkey;
@@ -571,25 +864,21 @@ Result<std::vector<TraceTuple>> Evaluator::ComputeJoin(
 
   // Output column sources: (side, index). Renamed attributes read from the
   // left side (values agree by the join condition).
-  struct Source {
-    int side;
-    size_t index;
-  };
-  std::vector<Source> sources;
+  std::vector<std::pair<int, size_t>> sources;
   for (const auto& attr : node->output_schema.attributes()) {
-    std::optional<Source> src;
+    std::optional<std::pair<int, size_t>> src;
     if (attr.qualified()) {
-      if (auto idx = ls.IndexOf(attr); idx.has_value()) src = Source{0, *idx};
-      else if (auto ridx = rs.IndexOf(attr); ridx.has_value()) src = Source{1, *ridx};
+      if (auto idx = ls.IndexOf(attr); idx.has_value()) src = {0, *idx};
+      else if (auto ridx = rs.IndexOf(attr); ridx.has_value()) src = {1, *ridx};
     } else {
       std::optional<RenameTriple> triple = node->renaming.FindByNewName(attr.name);
       if (triple.has_value()) {
         NED_ASSIGN_OR_RETURN(size_t idx, ls.Resolve(triple->a1));
-        src = Source{0, idx};
+        src = {0, idx};
       } else if (auto idx = ls.IndexOf(attr); idx.has_value()) {
-        src = Source{0, *idx};  // pre-renamed unqualified attr from below
+        src = {0, *idx};  // pre-renamed unqualified attr from below
       } else if (auto ridx = rs.IndexOf(attr); ridx.has_value()) {
-        src = Source{1, *ridx};
+        src = {1, *ridx};
       }
     }
     if (!src.has_value()) {
@@ -599,300 +888,125 @@ Result<std::vector<TraceTuple>> Evaluator::ComputeJoin(
     sources.push_back(*src);
   }
 
-  auto key_of = [](const TraceTuple& t, const std::vector<size_t>& idx)
-      -> std::optional<Tuple> {
-    std::vector<Value> values;
-    values.reserve(idx.size());
-    for (size_t i : idx) {
-      if (t.values.at(i).is_null()) return std::nullopt;  // NULL never joins
-      values.push_back(t.values.at(i));
-    }
-    return Tuple(std::move(values));
-  };
-
-  // Build hash table on the right side (or all rows for a cross product).
-  // Key equality must coerce numerics (int 10 joins double 10.0), matching
-  // Value::Hash's coercion-consistent hashing; Tuple::operator== is exact.
-  struct JoinKeyEq {
-    bool operator()(const Tuple& a, const Tuple& b) const {
-      if (a.size() != b.size()) return false;
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (!Value::Satisfies(a.at(i), CompareOp::kEq, b.at(i))) return false;
-      }
-      return true;
-    }
-  };
-  std::unordered_map<Tuple, std::vector<const TraceTuple*>, TupleHash,
-                     JoinKeyEq>
-      table;
-  std::vector<const TraceTuple*> all_right;
-  if (lkey.empty()) {
-    for (const TraceTuple& r : right) all_right.push_back(&r);
-  } else {
-    for (const TraceTuple& r : right) {
-      NED_EXEC_TICK(scope.ctx);
-      std::optional<Tuple> key = key_of(r, rkey);
-      if (key.has_value()) table[*key].push_back(&r);
-    }
+  // The extra condition is typed by the output schema; remapped onto the
+  // (left, right) pair it filters candidates before any row is built.
+  std::optional<BoundPredicate> extra;
+  if (node->extra_predicate != nullptr) {
+    extra = BoundPredicate::Bind(*node->extra_predicate, node->output_schema);
+    extra->Remap([&](size_t col) { return sources[col]; });
   }
 
-  // Probes one left row against the (read-only) hash table, appending
-  // matches in bucket order. Rid assignment is the caller's job: the serial
-  // loop assigns as it appends, the partitioned path assigns at merge.
-  auto probe_row = [&](const TraceTuple& l, ExecContext* ctx,
-                       std::vector<TraceTuple>* out) -> Status {
-    const std::vector<const TraceTuple*>* matches = nullptr;
-    if (lkey.empty()) {
-      matches = &all_right;
-    } else {
-      std::optional<Tuple> key = key_of(l, lkey);
-      if (!key.has_value()) return Status::OK();
-      auto it = table.find(*key);
-      if (it == table.end()) return Status::OK();
-      matches = &it->second;
-    }
-    for (const TraceTuple* r : *matches) {
-      NED_EXEC_TICK(ctx);  // a cross join's inner loop must stay interruptible
-      // Hash buckets can contain numeric-coerced collisions; verify equality.
-      bool keys_equal = true;
-      for (size_t k = 0; k < lkey.size(); ++k) {
-        if (!Value::Satisfies(l.values.at(lkey[k]), CompareOp::kEq,
-                              r->values.at(rkey[k]))) {
-          keys_equal = false;
-          break;
-        }
-      }
-      if (!keys_equal) continue;
-      std::vector<Value> values;
-      values.reserve(sources.size());
-      for (const Source& s : sources) {
-        values.push_back(s.side == 0 ? l.values.at(s.index)
-                                     : r->values.at(s.index));
-      }
-      Tuple joined(std::move(values));
-      if (node->extra_predicate != nullptr) {
-        NED_ASSIGN_OR_RETURN(
-            bool keep, node->extra_predicate->EvalBool(joined, node->output_schema));
-        if (!keep) continue;
-      }
-      TraceTuple o;
-      o.values = std::move(joined);
-      o.preds = {l.rid, r->rid};
-      o.lineage = BaseSetUnion(l.lineage, r->lineage);
-      ChargeTuple(ctx, o);
-      out->push_back(std::move(o));
-    }
-    return Status::OK();
-  };
-
-  const MorselPlan plan = PlanFor(scope.ctx, left.size());
-  if (plan.active()) {
-    // Build stays serial (one hash table, charged to the coordinator);
-    // probe partitions over the left input. Each morsel emits its matches
-    // in (left row, bucket) order over a disjoint left range, so the
-    // partition-order merge is the serial production order.
-    return RunPartitioned(
-        scope, plan,
-        [&](size_t begin, size_t end, ExecContext* shard,
-            std::vector<TraceTuple>* out) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            NED_EXEC_TICK(shard);
-            NED_RETURN_NOT_OK(probe_row(left[i], shard, out));
-          }
-          return Status::OK();
-        });
-  }
-  std::vector<TraceTuple> out;
-  for (const TraceTuple& l : left) {
-    NED_EXEC_TICK(scope.ctx);
-    size_t first = out.size();
-    NED_RETURN_NOT_OK(probe_row(l, scope.ctx, &out));
-    for (size_t i = first; i < out.size(); ++i) out[i].rid = scope.NextRid();
-  }
-  return out;
-}
-
-Result<std::vector<TraceTuple>> Evaluator::ComputeUnion(
-    const OperatorNode* node, EvalScope& scope) {
-  const std::vector<TraceTuple>& left = *TryGetOutput(node->children[0].get());
-  const std::vector<TraceTuple>& right = *TryGetOutput(node->children[1].get());
-  const Schema& ls = node->children[0]->output_schema;
-  const Schema& rs = node->children[1]->output_schema;
-
-  // Column order of the output follows nu(left schema); map each side's
-  // columns to output positions.
-  auto mapping_for = [&](const Schema& side) -> Result<std::vector<size_t>> {
-    std::vector<size_t> map(node->output_schema.size(), 0);
-    for (size_t out_i = 0; out_i < node->output_schema.size(); ++out_i) {
-      const Attribute& target = node->output_schema.at(out_i);
-      bool found = false;
-      for (size_t i = 0; i < side.size(); ++i) {
-        if (node->renaming.Apply(side.at(i)) == target) {
-          map[out_i] = i;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::TypeError("union operand missing attribute " +
-                                 target.FullName());
-      }
-    }
-    return map;
-  };
-  NED_ASSIGN_OR_RETURN(std::vector<size_t> lmap, mapping_for(ls));
-  NED_ASSIGN_OR_RETURN(std::vector<size_t> rmap, mapping_for(rs));
-
-  std::unordered_map<Tuple, size_t, TupleHash> seen;
-  std::vector<TraceTuple> out;
-  auto add_side = [&](const std::vector<TraceTuple>& side,
-                      const std::vector<size_t>& map) -> Status {
-    for (const TraceTuple& t : side) {
-      NED_EXEC_TICK(scope.ctx);
-      std::vector<Value> values;
-      values.reserve(map.size());
-      for (size_t i : map) values.push_back(t.values.at(i));
-      Tuple mapped(std::move(values));
-      auto [it, inserted] = seen.emplace(mapped, out.size());
-      if (inserted) {
-        TraceTuple o;
-        o.rid = scope.NextRid();
-        o.values = std::move(mapped);
-        o.preds = {t.rid};
-        o.lineage = t.lineage;
-        ChargeTuple(scope.ctx, o);
-        out.push_back(std::move(o));
-      } else {
-        TraceTuple& o = out[it->second];
-        o.preds.push_back(t.rid);
-        o.lineage = BaseSetUnion(o.lineage, t.lineage);
-      }
-    }
-    return Status::OK();
-  };
-  NED_RETURN_NOT_OK(add_side(left, lmap));
-  NED_RETURN_NOT_OK(add_side(right, rmap));
-  return out;
-}
-
-Result<std::vector<TraceTuple>> Evaluator::ComputeDifference(
-    const OperatorNode* node, EvalScope& scope) {
-  const std::vector<TraceTuple>& left = *TryGetOutput(node->children[0].get());
-  const std::vector<TraceTuple>& right = *TryGetOutput(node->children[1].get());
-  const Schema& ls = node->children[0]->output_schema;
-  const Schema& rs = node->children[1]->output_schema;
-
-  auto mapping_for = [&](const Schema& side) -> Result<std::vector<size_t>> {
-    std::vector<size_t> map(node->output_schema.size(), 0);
-    for (size_t out_i = 0; out_i < node->output_schema.size(); ++out_i) {
-      const Attribute& target = node->output_schema.at(out_i);
-      bool found = false;
-      for (size_t i = 0; i < side.size(); ++i) {
-        if (node->renaming.Apply(side.at(i)) == target) {
-          map[out_i] = i;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::TypeError("difference operand missing attribute " +
-                                 target.FullName());
-      }
-    }
-    return map;
-  };
-  NED_ASSIGN_OR_RETURN(std::vector<size_t> lmap, mapping_for(ls));
-  NED_ASSIGN_OR_RETURN(std::vector<size_t> rmap, mapping_for(rs));
-
-  // Value set of the right operand (aligned through the renaming).
-  std::unordered_set<Tuple, TupleHash> right_values;
-  for (const TraceTuple& t : right) {
-    NED_EXEC_TICK(scope.ctx);
-    std::vector<Value> values;
-    values.reserve(rmap.size());
-    for (size_t i : rmap) values.push_back(t.values.at(i));
-    right_values.insert(Tuple(std::move(values)));
-  }
-
-  // Left tuples whose aligned value has no right counterpart survive; the
-  // lineage of a survivor is its left lineage (Cui & Widom difference
-  // lineage). Value-equal left tuples merge under set semantics.
-  std::unordered_map<Tuple, size_t, TupleHash> seen;
-  std::vector<TraceTuple> out;
-  for (const TraceTuple& t : left) {
-    NED_EXEC_TICK(scope.ctx);
-    std::vector<Value> values;
-    values.reserve(lmap.size());
-    for (size_t i : lmap) values.push_back(t.values.at(i));
-    Tuple mapped(std::move(values));
-    if (right_values.count(mapped) > 0) continue;
-    auto [it, inserted] = seen.emplace(mapped, out.size());
-    if (inserted) {
-      TraceTuple o;
-      o.rid = scope.NextRid();
-      o.values = std::move(mapped);
-      o.preds = {t.rid};
-      o.lineage = t.lineage;
-      ChargeTuple(scope.ctx, o);
-      out.push_back(std::move(o));
-    } else {
-      TraceTuple& o = out[it->second];
-      o.preds.push_back(t.rid);
-      o.lineage = BaseSetUnion(o.lineage, t.lineage);
-    }
-  }
-  return out;
-}
-
-Result<std::vector<TraceTuple>> Evaluator::ComputeAggregate(
-    const OperatorNode* node, EvalScope& scope) {
-  const std::vector<TraceTuple>& in = *TryGetOutput(node->children[0].get());
-  const Schema& child_schema = node->children[0]->output_schema;
-
-  std::vector<size_t> group_idx;
-  for (const auto& g : node->group_by) {
-    NED_ASSIGN_OR_RETURN(size_t idx, child_schema.Resolve(g));
-    group_idx.push_back(idx);
-  }
-
-  // Group, preserving first-seen order.
-  std::unordered_map<Tuple, size_t, TupleHash> group_of;
-  std::vector<std::vector<const TraceTuple*>> groups;
-  std::vector<Tuple> keys;
-  for (const TraceTuple& t : in) {
-    NED_EXEC_TICK(scope.ctx);
-    std::vector<Value> key_values;
-    key_values.reserve(group_idx.size());
-    for (size_t idx : group_idx) key_values.push_back(t.values.at(idx));
-    Tuple key(std::move(key_values));
-    auto [it, inserted] = group_of.emplace(key, groups.size());
-    if (inserted) {
-      groups.emplace_back();
-      keys.push_back(key);
-    }
-    groups[it->second].push_back(&t);
-  }
-
-  std::vector<TraceTuple> out;
-  out.reserve(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g) {
+  // Build on the right side: rows grouped by key under SQL equality (numeric
+  // coercion; NULL never joins), each group in right-row order. A cross
+  // product matches every right row.
+  std::optional<RowGroups> table;
+  if (!lkey.empty()) {
     NED_ASSIGN_OR_RETURN(
-        std::vector<Tuple> agg_rows,
-        ComputeAggregateTuples(node->group_by, node->aggregates, groups[g],
-                               child_schema, node->output_schema, scope.ctx));
-    NED_CHECK(agg_rows.size() == 1);
-    TraceTuple o;
-    o.rid = scope.NextRid();
-    o.values = std::move(agg_rows[0]);
-    for (const TraceTuple* member : groups[g]) {
-      NED_EXEC_TICK(scope.ctx);
-      o.preds.push_back(member->rid);
-      o.lineage = BaseSetUnion(o.lineage, member->lineage);
-    }
-    ChargeTuple(scope.ctx, o);
-    out.push_back(std::move(o));
+        RowGroups built,
+        RowGroups::Build({Side{&right, &rkey}}, KeyEq::kJoin, ctx, 0));
+    table.emplace(std::move(built));
   }
-  return out;
+
+  // Probe: matching (left, right) row pairs in (left row, bucket) order. A
+  // morsel covers a disjoint left range, so the partition-order merge is
+  // the serial production order.
+  using Match = std::pair<uint32_t, uint32_t>;
+  NED_CHECK(left.size() <= UINT32_MAX && right.size() <= UINT32_MAX);
+  NED_ASSIGN_OR_RETURN(
+      std::vector<Match> matches,
+      RunMorsels<Match>(
+          ctx, left.size(),
+          [&](size_t begin, size_t end, ExecContext* c,
+              std::vector<Match>* out) -> Status {
+            auto try_pair = [&](size_t i, const Value* l,
+                                uint32_t r) -> Status {
+              // A cross join's inner loop must stay interruptible.
+              NED_EXEC_TICK(c);
+              const Value* rv = right.values(r).data();
+              // A bucket holds keys equal to its first member; verify each.
+              for (size_t k = 0; k < lkey.size(); ++k) {
+                if (!Value::Satisfies(l[lkey[k]], CompareOp::kEq,
+                                      rv[rkey[k]])) {
+                  return Status::OK();
+                }
+              }
+              if (extra.has_value()) {
+                NED_ASSIGN_OR_RETURN(bool keep, extra->EvalBool(l, rv));
+                if (!keep) return Status::OK();
+              }
+              ChargeRow(c, arity);
+              out->emplace_back(static_cast<uint32_t>(i), r);
+              return Status::OK();
+            };
+            for (size_t i = begin; i < end; ++i) {
+              NED_EXEC_TICK(c);
+              const Value* l = left.values(i).data();
+              if (!table.has_value()) {
+                for (uint32_t r = 0; r < right.size(); ++r) {
+                  NED_RETURN_NOT_OK(try_pair(i, l, r));
+                }
+                continue;
+              }
+              const int64_t g = table->Find(l, lkey);
+              if (g < 0) continue;
+              for (uint64_t m : table->members(static_cast<size_t>(g))) {
+                NED_RETURN_NOT_OK(try_pair(i, l, MemberRow(m)));
+              }
+            }
+            return Status::OK();
+          }));
+
+  size_t ids = 0;
+  for (const auto& [l, r] : matches) {
+    ids += left.lineage(l).size() + right.lineage(r).size();
+  }
+  BlockBuilder out(arity, RidBaseFor(node), 2);
+  out.Reserve(matches.size(), ids, 0);
+  for (const auto& [l, r] : matches) {
+    const Value* lv = left.values(l).data();
+    const Value* rv = right.values(r).data();
+    for (const auto& [side, index] : sources) {
+      out.AddValue(side == 0 ? lv[index] : rv[index]);
+    }
+    out.AddLineageUnion(left.lineage(l), right.lineage(r));
+    out.AddPred(left.rid(l));
+    out.AddPred(right.rid(r));
+    out.EndRow();
+  }
+  return std::move(out).Finish();
+}
+
+Result<Block> Evaluator::ComputeAggregate(const OperatorNode* node,
+                                          ExecContext* ctx) const {
+  const Block& in = Output(node->children[0].get());
+  const Schema& child_schema = node->children[0]->output_schema;
+  const size_t arity = node->output_schema.size();
+  NED_ASSIGN_OR_RETURN(std::vector<size_t> group_idx,
+                       ResolveAll(child_schema, node->group_by));
+  // Group, preserving first-seen order.
+  NED_ASSIGN_OR_RETURN(
+      RowGroups groups,
+      RowGroups::Build({Side{&in, &group_idx}}, KeyEq::kExact, ctx, arity));
+  std::vector<size_t> arg_idx;
+  if (groups.size() > 0) {
+    NED_ASSIGN_OR_RETURN(arg_idx, ResolveArgs(child_schema, node->aggregates));
+  }
+  BlockBuilder out(arity, RidBaseFor(node), 0);
+  out.Reserve(groups.size(), groups.member_lineage_ids(),
+              groups.member_count());
+  std::vector<Value> aggregates;
+  std::vector<TupleId> scratch;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const Value* key = groups.KeyRow(g);
+    for (size_t idx : group_idx) out.AddValue(key[idx]);
+    aggregates.clear();
+    NED_RETURN_NOT_OK(AggregateInto(in, groups.members(g), node->aggregates,
+                                    arg_idx, ctx, &aggregates));
+    for (Value& v : aggregates) out.AddValue(std::move(v));
+    AddMergedProvenance(&out, groups, g, &scratch);
+    out.EndRow();
+  }
+  return std::move(out).Finish();
 }
 
 }  // namespace ned

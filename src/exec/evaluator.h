@@ -1,19 +1,21 @@
 /// \file evaluator.h
 /// \brief Lineage-tracking, node-at-a-time query evaluation.
 ///
-/// QueryInput materialises the query input instance I_Q (Def. 2.3): one tuple
-/// list per *alias*, with stable base TupleIds. A stored relation backing two
-/// aliases (self-join) yields two disjoint id ranges -- the formal device that
-/// lets NedExplain place compatible tuples in the correct relation instance.
+/// QueryInput is the query input instance I_Q (Def. 2.3): one block of base
+/// rows per *alias*, with stable base TupleIds, viewed in place in the
+/// database snapshot. A stored relation backing two aliases (self-join)
+/// yields two disjoint id ranges -- the formal device that lets NedExplain
+/// place compatible tuples in the correct relation instance.
 ///
-/// Evaluator computes each node's output on demand (memoized), which lets
-/// NedExplain drive evaluation bottom-up and stop early (Alg. 2) without ever
-/// touching operators above the termination point. With a SubtreeCache
-/// attached, memoization extends across evaluator instances: outputs are
-/// keyed by subtree fingerprint + node ordinals + scanned-relation data
-/// versions, and rids are deterministic per (node ordinal, row), so a hit is
-/// bit-identical -- values, rids, preds, lineage -- to recomputation (the
-/// property the differential cache sweep asserts; see docs/CACHING.md).
+/// Evaluator computes each node's output block (exec/block.h) on demand
+/// (memoized), which lets NedExplain drive evaluation bottom-up and stop
+/// early (Alg. 2) without ever touching operators above the termination
+/// point. With a SubtreeCache attached, memoization extends across
+/// evaluator instances: blocks are keyed by subtree fingerprint + node
+/// ordinals + scanned-relation data versions, and rids are deterministic per
+/// (node ordinal, row), so a hit is bit-identical -- values, rids, preds,
+/// lineage -- to recomputation (the property the differential cache sweep
+/// asserts; see docs/CACHING.md).
 
 #ifndef NED_EXEC_EVALUATOR_H_
 #define NED_EXEC_EVALUATOR_H_
@@ -25,25 +27,31 @@
 #include <vector>
 
 #include "algebra/query_tree.h"
+#include "exec/block.h"
 #include "exec/exec_context.h"
 #include "exec/lineage.h"
-#include "exec/parallel.h"
 
 namespace ned {
 
 class SubtreeCache;
 
-/// The materialised query input instance I_Q.
+/// The query input instance I_Q, viewed in place: Build copies no rows, so
+/// the database (snapshot) must outlive the input and every evaluation of
+/// it.
 class QueryInput {
  public:
   /// Instantiates every scan alias of `tree` from `db`. When `ctx` is given,
-  /// materialisation charges its budgets and honours its deadline/cancel.
+  /// each alias charges its rows against the row budget (no bytes: nothing
+  /// is copied) and honours the deadline/cancel.
   static Result<QueryInput> Build(const QueryTree& tree, const Database& db,
                                   ExecContext* ctx = nullptr);
 
-  /// Tuples of one alias; ids are stable across evaluations.
-  Result<const std::vector<TraceTuple>*> AliasTuples(
-      const std::string& alias) const;
+  /// Base rows of one alias: row i has rid and lineage MakeTupleId(ordinal,
+  /// i); ids are stable across evaluations.
+  Result<const Block*> AliasBlock(const std::string& alias) const;
+  const Block& AliasBlock(size_t ordinal) const {
+    return by_alias_.at(alias_order_.at(ordinal)).rows;
+  }
   Result<const Schema*> AliasSchema(const std::string& alias) const;
 
   /// Aliases in scan (bottom-up) order.
@@ -56,8 +64,8 @@ class QueryInput {
     return by_alias_.at(alias_order_.at(ordinal)).data_version;
   }
 
-  /// The base tuple with id `id`, or nullptr.
-  const TraceTuple* FindById(TupleId id) const;
+  /// The base row with id `id`, or nullptr.
+  const Tuple* FindById(TupleId id) const;
   /// Alias that `id` belongs to ("" when unknown).
   std::string AliasOfId(TupleId id) const;
 
@@ -70,8 +78,8 @@ class QueryInput {
  private:
   struct AliasData {
     Schema schema;
-    std::vector<TraceTuple> tuples;
-    uint32_t ordinal = 0;
+    const Relation* relation = nullptr;
+    Block rows;  ///< view of relation->rows()
     uint64_t data_version = 0;
   };
   std::map<std::string, AliasData> by_alias_;
@@ -80,11 +88,11 @@ class QueryInput {
 
 /// Memoizing bottom-up evaluator over one (tree, input) pair. An optional
 /// ExecContext makes every operator interruptible: limits are checked at
-/// operator boundaries and every kCheckInterval rows inside the
-/// join/aggregate inner loops, and a tripped limit surfaces as a
-/// kDeadlineExceeded / kResourceExhausted / kCancelled status.
+/// operator boundaries and every kCheckInterval rows inside the operator
+/// loops, and a tripped limit surfaces as a kDeadlineExceeded /
+/// kResourceExhausted / kCancelled status.
 ///
-/// An optional SubtreeCache shares materialized non-leaf outputs across
+/// An optional SubtreeCache shares finished non-leaf blocks across
 /// evaluator instances (and threads; the cache carries its own lock).
 /// Cache hits replay the exact row/byte charges recomputation would have
 /// made -- tick-safe, so a governed evaluation can still trip mid-hit --
@@ -92,15 +100,10 @@ class QueryInput {
 class Evaluator {
  public:
   Evaluator(const QueryTree* tree, const QueryInput* input,
-            ExecContext* ctx = nullptr, SubtreeCache* cache = nullptr)
-      : tree_(tree), input_(input), ctx_(ctx), cache_(cache) {
-    for (size_t i = 0; i < tree_->bottom_up().size(); ++i) {
-      node_ordinal_.emplace(tree_->bottom_up()[i], i);
-    }
-  }
+            ExecContext* ctx = nullptr, SubtreeCache* cache = nullptr);
 
   /// Output of `node`, evaluating (and caching) descendants as needed.
-  Result<const std::vector<TraceTuple>*> EvalNode(const OperatorNode* node);
+  Result<const Block*> EvalNode(const OperatorNode* node);
 
   /// Evaluates `nodes` (typically one TabQ level of sibling subtrees),
   /// leaving each memoized as if EvalNode had been called in order. When the
@@ -112,17 +115,18 @@ class Evaluator {
   Status EvalNodes(const std::vector<const OperatorNode*>& nodes);
 
   /// Evaluates the whole tree; returns the root output.
-  Result<const std::vector<TraceTuple>*> EvalAll() {
-    return EvalNode(tree_->root());
+  Result<const Block*> EvalAll() { return EvalNode(tree_->root()); }
+
+  /// Memoized output of `node`, or nullptr if not yet evaluated.
+  const Block* TryGetOutput(const OperatorNode* node) const {
+    return outputs_[node_ordinal_.at(node)].get();
   }
 
-  /// Cached output of `node`, or nullptr if not yet evaluated.
-  const std::vector<TraceTuple>* TryGetOutput(const OperatorNode* node) const;
-
-  /// Children outputs of `node` (its manipulation's input instance),
-  /// evaluating them if necessary.
-  Result<std::vector<const std::vector<TraceTuple>*>> InputsOf(
-      const OperatorNode* node);
+  /// The block holding the tuple with runtime id `rid` -- an alias's base
+  /// rows for a base id, else the memoized output of the node the rid's
+  /// range belongs to -- with the tuple's row in `*row`; nullptr when that
+  /// node is not evaluated or the row is out of range.
+  const Block* BlockOfRid(Rid rid, size_t* row) const;
 
   /// Total intermediate tuples materialised so far (perf counters). Tuples
   /// served from the subtree cache count too: they are materialized state of
@@ -139,54 +143,30 @@ class Evaluator {
   ExecContext* exec_context() const { return ctx_; }
 
  private:
-  using Rows = std::shared_ptr<const std::vector<TraceTuple>>;
+  using BlockPtr = std::shared_ptr<const Block>;
 
-  /// One Compute invocation's evaluation scope: the governing context (the
-  /// evaluator's own, or a worker shard's during sibling fan-out) and the
-  /// rid counter of the node being computed. Threading this explicitly --
-  /// instead of evaluator members -- is what lets detached sibling Computes
-  /// run concurrently without sharing mutable state.
-  struct EvalScope {
-    ExecContext* ctx = nullptr;
-    Rid next_rid = 0;
-    Rid NextRid() { return next_rid++; }
-  };
+  /// Computes `node`'s block from its (evaluated) children, governed by
+  /// `ctx` -- the evaluator's own, or a worker shard's during sibling
+  /// fan-out. Reads only memoized state, so detached sibling Computes can
+  /// run concurrently.
+  Result<Block> Compute(const OperatorNode* node, ExecContext* ctx) const;
+  Result<Block> ComputeSelect(const OperatorNode* node, ExecContext* ctx) const;
+  Result<Block> ComputeMerge(const OperatorNode* node, ExecContext* ctx) const;
+  Result<Block> ComputeJoin(const OperatorNode* node, ExecContext* ctx) const;
+  Result<Block> ComputeAggregate(const OperatorNode* node,
+                                 ExecContext* ctx) const;
 
-  Result<std::vector<TraceTuple>> Compute(const OperatorNode* node,
-                                          EvalScope& scope);
-  Result<std::vector<TraceTuple>> ComputeSelect(const OperatorNode* node,
-                                                EvalScope& scope);
-  Result<std::vector<TraceTuple>> ComputeProject(const OperatorNode* node,
-                                                 EvalScope& scope);
-  Result<std::vector<TraceTuple>> ComputeJoin(const OperatorNode* node,
-                                              EvalScope& scope);
-  Result<std::vector<TraceTuple>> ComputeUnion(const OperatorNode* node,
-                                               EvalScope& scope);
-  Result<std::vector<TraceTuple>> ComputeDifference(const OperatorNode* node,
-                                                    EvalScope& scope);
-  Result<std::vector<TraceTuple>> ComputeAggregate(const OperatorNode* node,
-                                                   EvalScope& scope);
-
-  /// Runs `morsel(begin, end, shard, out)` over every partition of `plan`
-  /// on the scope's task pool, then merges partition outputs in partition
-  /// order, assigning rids from `scope` as rows are appended -- the step
-  /// that makes partitioned output byte-identical to the serial loop.
-  /// Worker charges fold into scope.ctx at each partition boundary,
-  /// followed by a coordinator checkpoint.
-  Result<std::vector<TraceTuple>> RunPartitioned(
-      EvalScope& scope, const MorselPlan& plan,
-      const std::function<Status(size_t, size_t, ExecContext*,
-                                 std::vector<TraceTuple>*)>& morsel);
-
-  /// Replays a subtree-cache hit for `node` into outputs_ (charges + ticks
+  /// Replays a subtree-cache hit for `node` into the memo (charges + ticks
   /// as recomputation would make). Returns false on miss. Caller must have
   /// established cacheability.
   Result<bool> TryReplayCacheHit(const OperatorNode* node);
 
   /// Computes `node` (children must be evaluated), stores + cache-inserts
   /// the result. The tail half of EvalNode, shared with EvalNodes.
-  Result<const std::vector<TraceTuple>*> ComputeAndStore(
-      const OperatorNode* node);
+  Result<const Block*> ComputeAndStore(const OperatorNode* node);
+
+  /// Memoizes `block` as `node`'s output (and offers it to the cache).
+  const Block* Store(const OperatorNode* node, Block block);
 
   /// First rid of `node`'s output: top bit | (node ordinal + 1) << 40. Every
   /// node owns a disjoint rid range and row i of its output always gets base
@@ -196,26 +176,22 @@ class Evaluator {
            ((static_cast<Rid>(node_ordinal_.at(node)) + 1) << 40);
   }
 
+  const Block& Output(const OperatorNode* node) const {
+    return *outputs_[node_ordinal_.at(node)];
+  }
+
   /// Cache key of the subtree rooted at `node`: structural fingerprint +
   /// node ordinals + (for scans) alias ordinal and relation data version.
   /// Memoized per node; see docs/CACHING.md for the collision argument.
   const std::string& CacheKeyFor(const OperatorNode* node);
 
-  /// Charges `t` against `ctx`'s budgets (no-op without a context). Static:
-  /// parallel workers charge their shard context, not the evaluator's.
-  static void ChargeTuple(ExecContext* ctx, const TraceTuple& t) {
-    if (ctx == nullptr) return;
-    ctx->ChargeRows(1);
-    ctx->ChargeBytes(sizeof(TraceTuple) + t.values.size() * sizeof(Value) +
-                     t.lineage.size() * sizeof(TupleId) +
-                     t.preds.size() * sizeof(Rid));
-  }
+  bool Cacheable(const OperatorNode* node) const;
 
   const QueryTree* tree_;
   const QueryInput* input_;
   ExecContext* ctx_ = nullptr;
   SubtreeCache* cache_ = nullptr;
-  std::unordered_map<const OperatorNode*, Rows> outputs_;
+  std::vector<BlockPtr> outputs_;  // index = node ordinal (TabQ order)
   std::unordered_map<const OperatorNode*, size_t> node_ordinal_;
   std::unordered_map<const OperatorNode*, std::string> cache_keys_;
   size_t tuples_produced_ = 0;
@@ -223,14 +199,14 @@ class Evaluator {
   size_t cache_misses_ = 0;
 };
 
-/// Computes the aggregate output tuples for `node` over an arbitrary input
-/// tuple list (used both by the evaluator and by NedExplain's cond-alpha
-/// checks, which aggregate a subquery's *input*). `input_schema` types the
-/// given tuples.
+/// Computes the aggregate output tuples for `group_by`/`calls` over every
+/// row of `input` (typed by `input_schema`): group values then aggregate
+/// values, one tuple per group in first-seen order. NedExplain's cond-alpha
+/// checks use it to aggregate a subquery's *input*.
 Result<std::vector<Tuple>> ComputeAggregateTuples(
     const std::vector<Attribute>& group_by, const std::vector<AggCall>& calls,
-    const std::vector<const TraceTuple*>& input, const Schema& input_schema,
-    const Schema& output_schema, ExecContext* ctx = nullptr);
+    const Block& input, const Schema& input_schema,
+    ExecContext* ctx = nullptr);
 
 }  // namespace ned
 

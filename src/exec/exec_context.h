@@ -85,9 +85,10 @@ class ExecContext {
   void set_row_budget(size_t max_rows) { row_budget_ = max_rows; }
   size_t row_budget() const { return row_budget_; }
 
-  /// Approximate memory budget in bytes for materialized state. 0 =
-  /// unlimited. Accounting is an estimate (tuple payload + lineage), not an
-  /// allocator hook.
+  /// Memory budget in bytes for materialized state. 0 = unlimited. The
+  /// evaluator charges each output block's real size (Block::bytes(): its
+  /// value array, string payloads and id pools); scans view the database in
+  /// place and charge rows only.
   void set_memory_budget(size_t max_bytes) { memory_budget_ = max_bytes; }
   size_t memory_budget() const { return memory_budget_; }
 
@@ -168,7 +169,7 @@ class ExecContext {
     rows_charged_.store(rows_charged_.load(std::memory_order_relaxed) + n,
                         std::memory_order_relaxed);
   }
-  /// Charges approximately `n` bytes against the memory budget.
+  /// Charges `n` bytes against the memory budget.
   void ChargeBytes(size_t n) {
     bytes_charged_.store(bytes_charged_.load(std::memory_order_relaxed) + n,
                          std::memory_order_relaxed);

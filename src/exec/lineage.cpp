@@ -1,33 +1,8 @@
 #include "exec/lineage.h"
 
-#include <algorithm>
-
 namespace ned {
 
-BaseSet BaseSetUnion(const BaseSet& a, const BaseSet& b) {
-  BaseSet out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-bool BaseSetSubsetOf(const BaseSet& subset,
-                     const std::unordered_set<TupleId>& superset) {
-  for (TupleId id : subset) {
-    if (superset.count(id) == 0) return false;
-  }
-  return true;
-}
-
-bool BaseSetIntersects(const BaseSet& a, const std::unordered_set<TupleId>& b) {
-  for (TupleId id : a) {
-    if (b.count(id) > 0) return true;
-  }
-  return false;
-}
-
-BaseSet BaseSetIntersection(const BaseSet& a,
+BaseSet BaseSetIntersection(const IdSpan& a,
                             const std::unordered_set<TupleId>& b) {
   BaseSet out;
   for (TupleId id : a) {

@@ -1,5 +1,7 @@
 #include "expr/expression.h"
 
+#include <tuple>
+
 #include "common/strings.h"
 
 namespace ned {
@@ -70,6 +72,123 @@ std::string Disjunction::ToString() const {
 Result<Value> Not::Eval(const Tuple& tuple, const Schema& schema) const {
   NED_ASSIGN_OR_RETURN(bool b, inner_->EvalBool(tuple, schema));
   return Value::Int(b ? 0 : 1);
+}
+
+BoundPredicate BoundPredicate::Bind(const Expression& expr,
+                                    const Schema& schema) {
+  BoundPredicate bound;
+  bound.Add(expr, schema);
+  return bound;
+}
+
+uint32_t BoundPredicate::Add(const Expression& expr, const Schema& schema) {
+  const uint32_t id = static_cast<uint32_t>(nodes_.size());
+  nodes_.emplace_back();
+  Node node;
+  node.expr = &expr;
+  std::vector<const Expression*> children;
+  if (const auto* col = dynamic_cast<const ColumnRef*>(&expr)) {
+    node.kind = Kind::kColumn;
+    Result<size_t> idx = schema.Resolve(col->attribute());
+    if (idx.ok()) {
+      node.index = *idx;
+    } else {
+      node.error = idx.status();
+    }
+  } else if (const auto* lit = dynamic_cast<const Literal*>(&expr)) {
+    node.kind = Kind::kLiteral;
+    node.literal = &lit->value();
+  } else if (const auto* cmp = dynamic_cast<const Comparison*>(&expr)) {
+    node.kind = Kind::kCompare;
+    node.op = cmp->op();
+    children = {cmp->left().get(), cmp->right().get()};
+  } else if (const auto* conj = dynamic_cast<const Conjunction*>(&expr)) {
+    node.kind = Kind::kAnd;
+    for (const auto& t : conj->terms()) children.push_back(t.get());
+  } else if (const auto* disj = dynamic_cast<const Disjunction*>(&expr)) {
+    node.kind = Kind::kOr;
+    for (const auto& t : disj->terms()) children.push_back(t.get());
+  } else if (const auto* neg = dynamic_cast<const Not*>(&expr)) {
+    node.kind = Kind::kNot;
+    children = {neg->inner().get()};
+  } else {
+    node.kind = Kind::kColumn;
+    node.error =
+        Status::Unsupported("cannot bind expression " + expr.ToString());
+  }
+  for (const Expression* child : children) {
+    node.children.push_back(Add(*child, schema));
+  }
+  nodes_[id] = std::move(node);
+  return id;
+}
+
+void BoundPredicate::Remap(
+    const std::function<std::pair<int, size_t>(size_t)>& remap) {
+  for (Node& node : nodes_) {
+    if (node.kind != Kind::kColumn || !node.error.ok()) continue;
+    std::tie(node.side, node.index) = remap(node.index);
+  }
+}
+
+const Value* BoundPredicate::Operand(uint32_t n, const Value* const* rows,
+                                     Value* scratch, Status* error) const {
+  const Node& node = nodes_[n];
+  switch (node.kind) {
+    case Kind::kColumn:
+      if (!node.error.ok()) {
+        *error = node.error;
+        return nullptr;
+      }
+      return &rows[node.side][node.index];
+    case Kind::kLiteral:
+      return node.literal;
+    default:
+      *scratch = Value::Int(Bool(n, rows, error) ? 1 : 0);
+      return scratch;
+  }
+}
+
+bool BoundPredicate::Bool(uint32_t n, const Value* const* rows,
+                          Status* error) const {
+  const Node& node = nodes_[n];
+  switch (node.kind) {
+    case Kind::kCompare: {
+      Value left_scratch, right_scratch;
+      const Value* l = Operand(node.children[0], rows, &left_scratch, error);
+      if (!error->ok()) return false;
+      const Value* r = Operand(node.children[1], rows, &right_scratch, error);
+      if (!error->ok()) return false;
+      return Value::Satisfies(*l, node.op, *r);
+    }
+    case Kind::kAnd:
+      for (uint32_t c : node.children) {
+        if (!Bool(c, rows, error)) return false;
+      }
+      return true;
+    case Kind::kOr:
+      for (uint32_t c : node.children) {
+        const bool b = Bool(c, rows, error);
+        if (!error->ok()) return false;
+        if (b) return true;
+      }
+      return false;
+    case Kind::kNot: {
+      const bool b = Bool(node.children[0], rows, error);
+      return error->ok() && !b;
+    }
+    case Kind::kColumn:
+    case Kind::kLiteral: {
+      Value unused;
+      const Value* v = Operand(n, rows, &unused, error);
+      if (!error->ok() || v->is_null()) return false;
+      if (v->type() == ValueType::kInt) return v->as_int() != 0;
+      *error = Status::TypeError("expression is not boolean: " +
+                                 node.expr->ToString());
+      return false;
+    }
+  }
+  return false;
 }
 
 ExprPtr Col(const std::string& qualifier, const std::string& name) {

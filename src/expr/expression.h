@@ -9,6 +9,7 @@
 #ifndef NED_EXPR_EXPRESSION_H_
 #define NED_EXPR_EXPRESSION_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -137,6 +138,51 @@ class Not : public Expression {
 
  private:
   ExprPtr inner_;
+};
+
+/// A condition bound to one schema: attribute references resolve to column
+/// indices once per operator, and EvalBool then reads raw rows in place with
+/// no per-row name lookup or value copy. Results and errors are those of
+/// Expression::EvalBool on the same row; a reference that does not resolve
+/// fails when it is evaluated, not when it is bound. It reads literals from
+/// the expression in place, so the expression must outlive it.
+class BoundPredicate {
+ public:
+  static BoundPredicate Bind(const Expression& expr, const Schema& schema);
+
+  /// Re-points each column c at (side, index) = remap(c). A join binds its
+  /// condition to the output schema, then remaps columns onto its (left,
+  /// right) input rows so it can test a pair before building the row.
+  void Remap(const std::function<std::pair<int, size_t>(size_t)>& remap);
+
+  /// Evaluates over `row`; columns remapped to side 1 read `other`.
+  Result<bool> EvalBool(const Value* row, const Value* other = nullptr) const {
+    const Value* rows[2] = {row, other};
+    Status error;
+    const bool b = Bool(0, rows, &error);
+    if (!error.ok()) return error;
+    return b;
+  }
+
+ private:
+  enum class Kind : uint8_t { kColumn, kLiteral, kCompare, kAnd, kOr, kNot };
+  struct Node {
+    Kind kind = Kind::kLiteral;
+    CompareOp op = CompareOp::kEq;
+    int side = 0;
+    size_t index = 0;
+    const Value* literal = nullptr;
+    std::vector<uint32_t> children;
+    const Expression* expr = nullptr;  ///< source, for error messages
+    Status error;                      ///< why a column did not resolve
+  };
+
+  uint32_t Add(const Expression& expr, const Schema& schema);
+  bool Bool(uint32_t n, const Value* const* rows, Status* error) const;
+  const Value* Operand(uint32_t n, const Value* const* rows, Value* scratch,
+                       Status* error) const;
+
+  std::vector<Node> nodes_;  ///< nodes_[0] is the root
 };
 
 // ---- Builder helpers (the public construction API) -------------------------

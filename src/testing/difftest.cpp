@@ -181,12 +181,11 @@ Result<std::vector<std::string>> RootRows(const QueryTree& tree,
                                           const Database& db) {
   NED_ASSIGN_OR_RETURN(QueryInput input, QueryInput::Build(tree, db));
   Evaluator evaluator(&tree, &input);
-  NED_ASSIGN_OR_RETURN(const std::vector<TraceTuple>* out,
-                       evaluator.EvalAll());
+  NED_ASSIGN_OR_RETURN(const Block* out, evaluator.EvalAll());
   std::vector<std::string> rows;
-  for (const TraceTuple& t : *out) {
+  for (size_t row = 0; row < out->size(); ++row) {
     std::vector<std::string> vals;
-    for (const Value& v : t.values.values()) vals.push_back(v.ToString());
+    for (const Value& v : out->values(row)) vals.push_back(v.ToString());
     rows.push_back(Join(vals, "|"));
   }
   std::sort(rows.begin(), rows.end());

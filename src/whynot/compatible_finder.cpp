@@ -2,11 +2,12 @@
 
 #include <algorithm>
 
+#include "exec/parallel.h"
 #include "expr/satisfiability.h"
 
 namespace ned {
 
-bool IsCompatible(const CTuple& tc, const Tuple& tuple, const Schema& schema) {
+bool IsCompatible(const CTuple& tc, RowView tuple, const Schema& schema) {
   NED_CHECK(schema.size() > 0);
   const std::string& alias = schema.at(0).qualifier;
 
@@ -74,26 +75,25 @@ Result<CompatibleSets> FindCompatibles(
   // the algebra tree) and across morsels within large aliases.
   struct DirScan {
     const std::string* alias;
-    const std::vector<TraceTuple>* tuples;
+    const Block* rows;
     const Schema* schema;
   };
   std::vector<DirScan> scans;
   for (const std::string& alias : input.aliases()) {
-    NED_ASSIGN_OR_RETURN(const std::vector<TraceTuple>* tuples,
-                         input.AliasTuples(alias));
+    NED_ASSIGN_OR_RETURN(const Block* rows, input.AliasBlock(alias));
     if (referenced_aliases.count(alias) == 0) {
       // InDir: the whole instance of an unreferenced relation.
       sets.indir_aliases.push_back(alias);
-      for (const TraceTuple& t : *tuples) {
+      for (size_t i = 0; i < rows->size(); ++i) {
         NED_EXEC_TICK(ctx);
-        sets.indir.insert(t.rid);
-        sets.all.insert(t.rid);
+        sets.indir.insert(rows->rid(i));
+        sets.all.insert(rows->rid(i));
       }
       continue;
     }
     NED_ASSIGN_OR_RETURN(const Schema* schema, input.AliasSchema(alias));
     sets.dir_by_alias[alias];  // S_tc membership even when the scan is empty
-    scans.push_back(DirScan{&alias, tuples, schema});
+    scans.push_back(DirScan{&alias, rows, schema});
   }
 
   if (ParallelActive(ctx) && !scans.empty()) {
@@ -109,7 +109,7 @@ Result<CompatibleSets> FindCompatibles(
     };
     std::vector<Morsel> morsels;
     for (size_t s = 0; s < scans.size(); ++s) {
-      const size_t n = scans[s].tuples->size();
+      const size_t n = scans[s].rows->size();
       const MorselPlan plan = PlanFor(ctx, n);
       for (size_t p = 0; p < plan.partitions; ++p) {
         if (plan.begin(p) < plan.end(p)) {
@@ -130,9 +130,9 @@ Result<CompatibleSets> FindCompatibles(
         auto run = [&]() -> Status {
           for (size_t i = morsel.begin; i < morsel.end; ++i) {
             NED_EXEC_TICK(&shards[m]);
-            const TraceTuple& t = (*scan.tuples)[i];
-            if (IsCompatible(unrenamed_tc, t.values, *scan.schema)) {
-              matches[m].push_back(t.rid);
+            if (IsCompatible(unrenamed_tc, scan.rows->values(i),
+                             *scan.schema)) {
+              matches[m].push_back(scan.rows->rid(i));
             }
           }
           return Status::OK();
@@ -156,12 +156,13 @@ Result<CompatibleSets> FindCompatibles(
   } else {
     for (const DirScan& scan : scans) {
       std::vector<TupleId>& dir_list = sets.dir_by_alias[*scan.alias];
-      for (const TraceTuple& t : *scan.tuples) {
+      for (size_t i = 0; i < scan.rows->size(); ++i) {
         NED_EXEC_TICK(ctx);
-        if (IsCompatible(unrenamed_tc, t.values, *scan.schema)) {
-          dir_list.push_back(t.rid);
-          sets.dir.insert(t.rid);
-          sets.all.insert(t.rid);
+        if (IsCompatible(unrenamed_tc, scan.rows->values(i), *scan.schema)) {
+          const TupleId id = scan.rows->rid(i);
+          dir_list.push_back(id);
+          sets.dir.insert(id);
+          sets.all.insert(id);
         }
       }
     }

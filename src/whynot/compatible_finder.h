@@ -55,7 +55,7 @@ struct CompatibleSets {
 /// which carries the alias qualification) with an unrenamed c-tuple.
 /// Only fields whose qualifier matches `schema`'s alias participate; all
 /// (attribute:value) pairs referencing the alias must co-occur in the tuple.
-bool IsCompatible(const CTuple& tc, const Tuple& tuple, const Schema& schema);
+bool IsCompatible(const CTuple& tc, RowView tuple, const Schema& schema);
 
 /// Computes Dir/InDir for an unrenamed c-tuple over the query input.
 /// `agg_output_names` lists the aggregate output attributes of the query

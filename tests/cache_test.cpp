@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,17 +80,26 @@ void ExpectSameAnswer(const AnswerSummary& a, const AnswerSummary& b) {
   EXPECT_EQ(a.completeness, b.completeness);
 }
 
-void ExpectBitIdentical(const std::vector<TraceTuple>& a,
-                        const std::vector<TraceTuple>& b) {
+void ExpectBitIdentical(const Block& a, const Block& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].rid, b[i].rid) << "row " << i;
-    EXPECT_EQ(a[i].lineage, b[i].lineage) << "row " << i;
-    EXPECT_EQ(a[i].preds, b[i].preds) << "row " << i;
-    EXPECT_TRUE(a[i].values == b[i].values)
-        << "row " << i << ": " << a[i].values.ToString() << " vs "
-        << b[i].values.ToString();
+    EXPECT_EQ(a.rid(i), b.rid(i)) << "row " << i;
+    EXPECT_TRUE(a.lineage(i) == b.lineage(i)) << "row " << i;
+    EXPECT_TRUE(std::ranges::equal(a.preds(i), b.preds(i))) << "row " << i;
+    EXPECT_TRUE(a.values(i) == b.values(i))
+        << "row " << i << ": " << a.values(i).ToString() << " vs "
+        << b.values(i).ToString();
   }
+}
+
+/// A one-row block, for exercising the cache's byte accounting.
+std::shared_ptr<const Block> OneRowBlock() {
+  BlockBuilder b(1, kIntermediateRidBase, 1);
+  b.AddValue(Value::Int(1));
+  b.AddLineage(IdSpan(MakeTupleId(0, 0)));
+  b.AddPred(MakeTupleId(0, 0));
+  b.EndRow();
+  return std::make_shared<const Block>(std::move(b).Finish());
 }
 
 // ---- SQL normalization -----------------------------------------------------
@@ -203,20 +213,20 @@ TEST(SubtreeCache, WarmEvaluationReplaysBitIdenticalRows) {
 
   // Reference: no cache at all.
   Evaluator off(&tree, &input);
-  NED_ASSERT_OK_AND_MOVE(const std::vector<TraceTuple>* out_off, off.EvalAll());
+  NED_ASSERT_OK_AND_MOVE(const Block* out_off, off.EvalAll());
 
   SubtreeCache cache(1 << 20);
   Evaluator cold(&tree, &input, nullptr, &cache);
-  NED_ASSERT_OK_AND_MOVE(const std::vector<TraceTuple>* out_cold,
-                         cold.EvalAll());
+  NED_ASSERT_OK_AND_MOVE(const Block* out_cold, cold.EvalAll());
   EXPECT_EQ(cold.cache_hits(), 0u);
   EXPECT_GT(cold.cache_misses(), 0u);
 
   Evaluator warm(&tree, &input, nullptr, &cache);
-  NED_ASSERT_OK_AND_MOVE(const std::vector<TraceTuple>* out_warm,
-                         warm.EvalAll());
+  NED_ASSERT_OK_AND_MOVE(const Block* out_warm, warm.EvalAll());
   EXPECT_EQ(warm.cache_misses(), 0u);
   EXPECT_GT(warm.cache_hits(), 0u);
+  // A hit shares the cached block itself.
+  EXPECT_EQ(out_warm, out_cold);
 
   ExpectBitIdentical(*out_off, *out_cold);
   ExpectBitIdentical(*out_off, *out_warm);
@@ -236,31 +246,27 @@ TEST(SubtreeCache, RecompiledQuerySharesEntries) {
 
   NED_ASSERT_OK_AND_MOVE(QueryInput input2, QueryInput::Build(tree2, db));
   Evaluator warm(&tree2, &input2, nullptr, &cache);
-  NED_ASSERT_OK_AND_MOVE(const std::vector<TraceTuple>* out_warm,
-                         warm.EvalAll());
+  NED_ASSERT_OK_AND_MOVE(const Block* out_warm, warm.EvalAll());
   EXPECT_EQ(warm.cache_misses(), 0u);
   EXPECT_GT(warm.cache_hits(), 0u);
 
   // Cache-free reference for the content check.
   NED_ASSERT_OK_AND_MOVE(QueryInput input_ref, QueryInput::Build(tree1, db));
   Evaluator ref(&tree1, &input_ref);
-  NED_ASSERT_OK_AND_MOVE(const std::vector<TraceTuple>* out_ref, ref.EvalAll());
+  NED_ASSERT_OK_AND_MOVE(const Block* out_ref, ref.EvalAll());
   ExpectBitIdentical(*out_ref, *out_warm);
 }
 
 TEST(SubtreeCache, TinyBudgetRejectsOversizedOutputs) {
   SubtreeCache cache(10);  // smaller than any entry's fixed overhead
-  auto rows = std::make_shared<const std::vector<TraceTuple>>(
-      std::vector<TraceTuple>(1));
-  cache.Insert("k", rows);
+  cache.Insert("k", OneRowBlock());
   EXPECT_EQ(cache.Lookup("k"), nullptr);
   EXPECT_EQ(cache.stats().rejected_oversized, 1u);
 }
 
 TEST(SubtreeCache, EvictsUnderBytePressureAndClearDropsEverything) {
   SubtreeCache probe(1 << 20);
-  auto one_row = std::make_shared<const std::vector<TraceTuple>>(
-      std::vector<TraceTuple>(1));
+  auto one_row = OneRowBlock();
   probe.Insert("k1", one_row);
   const size_t entry_cost = probe.stats().bytes;
 
@@ -421,6 +427,53 @@ TEST(SubtreeCacheInvalidation, ReloadedDataIsNeverServedStale) {
   const AnswerSummary again = run(*snap2.db);
   EXPECT_EQ(again.subtree_cache_misses, 0u);
   ExpectSameAnswer(after, again);
+}
+
+TEST(SubtreeCacheInvalidation, CachedBlocksNeverPointIntoTheirSnapshot) {
+  // ReloadCsv deep-copies the relations it does not reload and keeps their
+  // data versions, so an entry computed on V1 over S is hit on V2 after
+  // every V1 holder is gone. A cached block must therefore own its values:
+  // one that viewed V1's rows in place would read freed memory here, which
+  // the sanitizer job reports. The strings are long enough to live on the
+  // heap, not inside the Value.
+  const std::string pad(40, '-');
+  Database db;
+  NED_CHECK(db.LoadCsv("R", "id,k\n1,10\n2,20\n").ok());
+  NED_CHECK(db.LoadCsv("S", "k,w\n10,x" + pad + "\n20,y" + pad + "\n30,z" +
+                                pad + "\n")
+                .ok());
+  auto catalog = std::make_shared<Catalog>();
+  NED_EXPECT_OK(catalog->Register("db", std::move(db)));
+  const std::string sql =
+      "SELECT S.w FROM R, S WHERE R.k = S.k AND S.w <> 'none'";
+  CTuple tc;
+  tc.Add("S.w", Value::Str("z" + pad));
+  SubtreeCache cache(1 << 20);
+  NedExplainOptions opts;
+  opts.subtree_cache = &cache;
+  {
+    NED_ASSERT_OK_AND_MOVE(Catalog::Snapshot v1, catalog->GetSnapshot("db"));
+    QueryTree tree = MustCompile(sql, *v1.db);
+    NED_ASSERT_OK_AND_MOVE(NedExplainEngine engine,
+                           NedExplainEngine::Create(&tree, v1.db.get(), opts));
+    NED_EXPECT_OK(engine.Explain(tc).status());
+  }
+  NED_EXPECT_OK(catalog->ReloadCsv("db", "R", "id,k\n1,10\n2,30\n"));
+
+  NED_ASSERT_OK_AND_MOVE(Catalog::Snapshot v2, catalog->GetSnapshot("db"));
+  QueryTree tree = MustCompile(sql, *v2.db);
+  NED_ASSERT_OK_AND_MOVE(NedExplainEngine engine,
+                         NedExplainEngine::Create(&tree, v2.db.get(), opts));
+  NED_ASSERT_OK_AND_MOVE(NedExplainResult warm, engine.Explain(tc));
+  EXPECT_GT(warm.subtree_cache_hits, 0u);  // the S subtree from V1
+  const AnswerSummary served = SummarizeResult(engine, warm);
+
+  NedExplainOptions no_cache;
+  NED_ASSERT_OK_AND_MOVE(NedExplainEngine fresh,
+                         NedExplainEngine::Create(&tree, v2.db.get(), no_cache));
+  NED_ASSERT_OK_AND_MOVE(NedExplainResult cold, fresh.Explain(tc));
+  ExpectSameAnswer(SummarizeResult(fresh, cold), served);
+  EXPECT_EQ(served.survivors_at_root, 1u);  // R.k=30 now joins z
 }
 
 // ---- answer cache: key semantics -------------------------------------------

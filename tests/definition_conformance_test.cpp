@@ -40,7 +40,7 @@ std::map<TupleId, const OperatorNode*> OraclePickyNodes(
   auto valid_successors_at = [&](const OperatorNode* m, TupleId t)
       -> size_t {
     size_t n = 0;
-    for (const TraceTuple& o : *evaluator.TryGetOutput(m)) {
+    for (const BlockRow& o : *evaluator.TryGetOutput(m)) {
       bool contains_t = false;
       for (TupleId id : o.lineage) {
         if (id == t) contains_t = true;

@@ -44,7 +44,7 @@ TEST(Difference, OutputLineageComesFromTheLeft) {
   Evaluator evaluator(&tree, &*input);
   auto out = evaluator.EvalAll();
   ASSERT_TRUE(out.ok());
-  for (const TraceTuple& t : **out) {
+  for (const BlockRow& t : **out) {
     ASSERT_EQ(t.lineage.size(), 1u);
     EXPECT_EQ(input->AliasOfId(t.lineage[0]), "Users");
   }

@@ -20,18 +20,24 @@ using testing::MustEvaluate;
 
 TEST(BaseSet, UnionMergesSorted) {
   BaseSet a = {1, 3, 5}, b = {2, 3, 6};
-  EXPECT_EQ(BaseSetUnion(a, b), (BaseSet{1, 2, 3, 5, 6}));
-  EXPECT_EQ(BaseSetUnion({}, b), b);
+  BlockBuilder builder(0, kIntermediateRidBase, 0);
+  builder.AddLineageUnion(a, b);
+  builder.EndRow();
+  builder.AddLineageUnion(BaseSet{}, b);
+  builder.EndRow();
+  Block block = std::move(builder).Finish();
+  EXPECT_TRUE(block.lineage(0) == IdSpan(BaseSet{1, 2, 3, 5, 6}));
+  EXPECT_TRUE(block.lineage(1) == IdSpan(b));
 }
 
 TEST(BaseSet, SubsetAndIntersection) {
   std::unordered_set<TupleId> super = {1, 2, 3};
-  EXPECT_TRUE(BaseSetSubsetOf({1, 3}, super));
-  EXPECT_FALSE(BaseSetSubsetOf({1, 4}, super));
-  EXPECT_TRUE(BaseSetSubsetOf({}, super));
-  EXPECT_TRUE(BaseSetIntersects({4, 2}, super));
-  EXPECT_FALSE(BaseSetIntersects({9}, super));
-  EXPECT_EQ(BaseSetIntersection({1, 4, 3}, super), (BaseSet{1, 3}));
+  EXPECT_TRUE(BaseSetSubsetOf(BaseSet{1, 3}, super));
+  EXPECT_FALSE(BaseSetSubsetOf(BaseSet{1, 4}, super));
+  EXPECT_TRUE(BaseSetSubsetOf(BaseSet{}, super));
+  EXPECT_TRUE(BaseSetIntersects(BaseSet{4, 2}, super));
+  EXPECT_FALSE(BaseSetIntersects(IdSpan(9), super));
+  EXPECT_EQ(BaseSetIntersection(BaseSet{1, 4, 3}, super), (BaseSet{1, 3}));
 }
 
 // ---- QueryInput ----------------------------------------------------------------------
@@ -42,8 +48,8 @@ TEST(QueryInput, AssignsDistinctIdsPerAlias) {
       "SELECT R1.v FROM R R1, R R2 WHERE R1.k = R2.k", db);
   auto input = QueryInput::Build(tree, db);
   ASSERT_TRUE(input.ok());
-  auto r1 = input->AliasTuples("R1");
-  auto r2 = input->AliasTuples("R2");
+  auto r1 = input->AliasBlock("R1");
+  auto r2 = input->AliasBlock("R2");
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   ASSERT_EQ((*r1)->size(), (*r2)->size());
@@ -58,12 +64,12 @@ TEST(QueryInput, FindByIdAndDisplay) {
   QueryTree tree = MustCompile("SELECT R.v FROM R", db);
   auto input = QueryInput::Build(tree, db);
   ASSERT_TRUE(input.ok());
-  auto tuples = input->AliasTuples("R");
+  auto tuples = input->AliasBlock("R");
   ASSERT_TRUE(tuples.ok());
-  TupleId id = (*tuples)->at(1).rid;
-  const TraceTuple* found = input->FindById(id);
+  TupleId id = (*tuples)->rid(1);
+  const Tuple* found = input->FindById(id);
   ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->values.at(0).as_int(), 2);
+  EXPECT_EQ(found->at(0).as_int(), 2);
   EXPECT_EQ(input->AliasOfId(id), "R");
   EXPECT_EQ(input->DisplayTuple(id), "R.id:2");
   EXPECT_EQ(input->FindById(MakeTupleId(9, 9)), nullptr);
@@ -270,8 +276,8 @@ TEST(Evaluator, HowProvenanceRendersLineageProducts) {
   Evaluator evaluator(&tree, &*input);
   auto out = evaluator.EvalAll();
   ASSERT_TRUE(out.ok());
-  for (const TraceTuple& t : **out) {
-    std::string how = HowProvenance(t, *input);
+  for (const BlockRow& t : **out) {
+    std::string how = HowProvenance(t.lineage, *input);
     EXPECT_NE(how.find("R.id:"), std::string::npos);
     EXPECT_NE(how.find(" * S.id:"), std::string::npos);
   }
@@ -290,12 +296,12 @@ TEST(Evaluator, LineageInvariantsHoldEverywhere) {
 
   std::unordered_set<TupleId> base_ids;
   for (const auto& alias : input->aliases()) {
-    for (const auto& t : **input->AliasTuples(alias)) base_ids.insert(t.rid);
+    for (const auto& t : **input->AliasBlock(alias)) base_ids.insert(t.rid);
   }
   for (const OperatorNode* node : tree.bottom_up()) {
-    const std::vector<TraceTuple>* out = evaluator.TryGetOutput(node);
+    const Block* out = evaluator.TryGetOutput(node);
     ASSERT_NE(out, nullptr);
-    for (const TraceTuple& t : *out) {
+    for (const BlockRow& t : *out) {
       EXPECT_FALSE(t.lineage.empty());
       EXPECT_TRUE(std::is_sorted(t.lineage.begin(), t.lineage.end()));
       EXPECT_TRUE(BaseSetSubsetOf(t.lineage, base_ids));

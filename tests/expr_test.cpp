@@ -58,6 +58,71 @@ TEST(Expression, EmptyConnectives) {
   EXPECT_FALSE(*Or(std::vector<ExprPtr>{})->EvalBool(Homer(), TestSchema()));
 }
 
+// ---- bound predicates -------------------------------------------------------
+
+/// The bound form must agree with Expression::EvalBool, errors included.
+void ExpectBoundAgrees(const ExprPtr& expr, const Tuple& row) {
+  const Result<bool> reference = expr->EvalBool(row, TestSchema());
+  const BoundPredicate bound = BoundPredicate::Bind(*expr, TestSchema());
+  const Result<bool> got = bound.EvalBool(row.values().data());
+  ASSERT_EQ(got.ok(), reference.ok()) << expr->ToString();
+  if (reference.ok()) {
+    EXPECT_EQ(*got, *reference) << expr->ToString();
+  } else {
+    EXPECT_EQ(got.status().code(), reference.status().code())
+        << expr->ToString();
+  }
+}
+
+TEST(BoundPredicate, AgreesWithExpressionEvaluation) {
+  const Tuple nulls({Value::Null(), Value::Int(3), Value::Null()});
+  const std::vector<ExprPtr> exprs = {
+      Gt(Col("A", "dob"), Lit(static_cast<int64_t>(-900))),
+      Eq(Col("A", "name"), Lit("Homer")),
+      And(Eq(Col("A", "name"), Lit("Homer")),
+          Gt(Col("B", "price"), Lit(static_cast<int64_t>(100)))),
+      Or({Eq(Col("A", "name"), Lit("Nobody")),
+          Negate(Lt(Col("B", "price"), Lit(static_cast<int64_t>(10))))}),
+      And(std::vector<ExprPtr>{}),
+      Or(std::vector<ExprPtr>{}),
+      // A comparison over comparisons compares their 0/1 results.
+      Eq(Gt(Col("A", "dob"), Lit(static_cast<int64_t>(0))),
+         Lt(Col("B", "price"), Lit(static_cast<int64_t>(0)))),
+      Col("A", "dob"),    // a bare int column is a boolean
+      Col("A", "name"),   // a string is not: type error
+      Lit(Value::Null()),
+      // An unresolvable column fails only when it is evaluated.
+      Eq(Col("A", "zzz"), Lit(static_cast<int64_t>(1))),
+      And(Eq(Col("A", "name"), Lit("Nobody")),
+          Eq(Col("A", "zzz"), Lit(static_cast<int64_t>(1)))),
+      Or({Eq(Col("A", "name"), Lit("Homer")),
+          Eq(Col("A", "zzz"), Lit(static_cast<int64_t>(1)))}),
+  };
+  for (const ExprPtr& expr : exprs) {
+    ExpectBoundAgrees(expr, Homer());
+    ExpectBoundAgrees(expr, nulls);
+  }
+}
+
+TEST(BoundPredicate, RemapReadsColumnsFromTwoRows) {
+  // Bound to the pair's output schema, then re-pointed: A.name -> row 0
+  // column 0, B.price -> row 1 column 1. The expression must outlive the
+  // bound form, which reads its literals in place.
+  const ExprPtr expr = And(Eq(Col("A", "name"), Lit("Homer")),
+                           Gt(Col("B", "price"), Lit(static_cast<int64_t>(40))));
+  BoundPredicate bound = BoundPredicate::Bind(*expr, TestSchema());
+  bound.Remap([](size_t col) -> std::pair<int, size_t> {
+    return col == 2 ? std::make_pair(1, size_t{1}) : std::make_pair(0, col);
+  });
+  const Tuple left({Value::Str("Homer"), Value::Int(-800), Value::Int(0)});
+  const Tuple right({Value::Int(0), Value::Int(45)});
+  auto b = bound.EvalBool(left.values().data(), right.values().data());
+  ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(*b);
+  const Tuple cheap({Value::Int(0), Value::Int(5)});
+  EXPECT_FALSE(*bound.EvalBool(left.values().data(), cheap.values().data()));
+}
+
 TEST(Expression, CollectAttributes) {
   auto expr = And(Eq(Col("A", "name"), Lit("X")),
                   Lt(Col("B", "price"), Col("A", "dob")));

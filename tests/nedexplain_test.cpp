@@ -261,6 +261,37 @@ TEST(NedExplain, ReportRendering) {
   EXPECT_NE(phases.find("Initialization"), std::string::npos);
 }
 
+TEST(WhyNotAnswer, MergeKeepsFirstSeenOrderAndDropsRepeats) {
+  // Detailed answers reach thousands of entries at scale (Gov5 at x16), so
+  // the merge must stay linear while keeping set semantics and the
+  // first-seen order the renderings depend on.
+  RunningExample ex = MakeRunningExample();
+  const auto& nodes = ex.tree.bottom_up();
+  auto entry = [&](size_t i) {
+    return DetailedEntry{MakeTupleId(0, i % 1500), nodes[i % nodes.size()]};
+  };
+  WhyNotAnswer first, second;
+  for (size_t i = 0; i < 4000; ++i) first.detailed.push_back(entry(i));
+  for (size_t i = 2000; i < 9000; ++i) second.detailed.push_back(entry(i));
+
+  std::vector<DetailedEntry> expected;
+  std::set<std::pair<TupleId, const OperatorNode*>> seen;
+  for (const WhyNotAnswer* part : {&first, &second}) {
+    for (const DetailedEntry& e : part->detailed) {
+      if (seen.emplace(e.dir_tuple, e.subquery).second) expected.push_back(e);
+    }
+  }
+
+  WhyNotAnswer merged;
+  merged.MergeFrom(first);
+  merged.MergeFrom(second);
+  merged.MergeFrom(first);  // a repeat merge adds nothing
+  EXPECT_EQ(merged.detailed, expected);
+  EXPECT_EQ(merged.detailed.size(), seen.size());
+  EXPECT_LT(merged.detailed.size(), first.detailed.size() +
+                                        second.detailed.size());
+}
+
 TEST(NedExplain, MultipleAggregatesRejected) {
   Database db;
   NED_CHECK(db.LoadCsv("T", "g,v\nx,1\n").ok());

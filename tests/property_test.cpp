@@ -179,7 +179,7 @@ TEST_P(RandomWorkload, SurvivorsIffQuestionDataPresent) {
     // Some root tuple must carry only compatible lineage.
     std::unordered_set<TupleId> all = part.compat.all;
     bool found = false;
-    for (const TraceTuple& t : **out) {
+    for (const BlockRow& t : **out) {
       if (BaseSetSubsetOf(t.lineage, all) &&
           BaseSetIntersects(t.lineage, part.compat.dir)) {
         found = true;
@@ -196,23 +196,23 @@ TEST_P(RandomWorkload, EvaluatorLineageLaws) {
   Evaluator evaluator(w.tree.get(), &*input);
   ASSERT_TRUE(evaluator.EvalAll().ok());
   for (const OperatorNode* node : w.tree->bottom_up()) {
-    const std::vector<TraceTuple>* out = evaluator.TryGetOutput(node);
+    const Block* out = evaluator.TryGetOutput(node);
     ASSERT_NE(out, nullptr);
     // Collect child rids for predecessor validation.
     std::unordered_set<Rid> child_rids;
     if (node->is_leaf()) {
-      for (const TraceTuple& t : **input->AliasTuples(node->alias)) {
+      for (const BlockRow& t : **input->AliasBlock(node->alias)) {
         child_rids.insert(t.rid);
       }
     } else {
       for (const auto& child : node->children) {
-        for (const TraceTuple& t : *evaluator.TryGetOutput(child.get())) {
+        for (const BlockRow& t : *evaluator.TryGetOutput(child.get())) {
           child_rids.insert(t.rid);
         }
       }
     }
     std::unordered_set<Rid> seen_rids;
-    for (const TraceTuple& t : *out) {
+    for (const BlockRow& t : *out) {
       EXPECT_TRUE(seen_rids.insert(t.rid).second) << "duplicate rid";
       EXPECT_FALSE(t.lineage.empty());
       EXPECT_TRUE(std::is_sorted(t.lineage.begin(), t.lineage.end()));

@@ -57,9 +57,9 @@ inline QueryTree MustCompile(const std::string& sql, const Database& db,
   return std::move(tree).value();
 }
 
-/// Evaluates the full tree, asserting success; returns the root output.
-inline std::vector<TraceTuple> MustEvaluate(const QueryTree& tree,
-                                            const Database& db) {
+/// Evaluates the full tree, asserting success; returns a copy of the root
+/// output block (a scan root still views `db`'s rows).
+inline Block MustEvaluate(const QueryTree& tree, const Database& db) {
   auto input = QueryInput::Build(tree, db);
   NED_CHECK_MSG(input.ok(), input.status().ToString());
   Evaluator evaluator(&tree, &*input);
@@ -69,7 +69,7 @@ inline std::vector<TraceTuple> MustEvaluate(const QueryTree& tree,
 }
 
 /// The values of one attribute across an output, as strings (sorted).
-inline std::vector<std::string> Column(const std::vector<TraceTuple>& tuples,
+inline std::vector<std::string> Column(const Block& tuples,
                                        const Schema& schema,
                                        const std::string& dotted_attr) {
   auto idx = schema.IndexOf(Attribute::Parse(dotted_attr));

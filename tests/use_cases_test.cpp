@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "baseline/whynot_baseline.h"
 #include "common/atomic_file.h"
 #include "common/csv.h"
+#include "common/hash.h"
 #include "core/nedexplain.h"
 #include "core/report.h"
 #include "datasets/crime.h"
@@ -94,6 +96,26 @@ std::string NodeLabel(const OperatorNode* node) {
   return node->name + ": " + node->Describe();
 }
 
+/// The baseline's verdict: support, answer, and per-c-tuple frontier.
+std::string BaselineVerdict(const WhyNotBaselineResult& baseline) {
+  std::ostringstream os;
+  os << "== baseline ==\n";
+  if (!baseline.supported) {
+    os << "supported: no (" << baseline.unsupported_reason << ")\n";
+    return os.str();
+  }
+  os << "supported: yes\n";
+  os << "answer: " << baseline.AnswerToString() << "\n";
+  for (size_t i = 0; i < baseline.per_ctuple.size(); ++i) {
+    const auto& part = baseline.per_ctuple[i];
+    os << "ctuple[" << i << "]: unpicked=" << part.unpicked_items
+       << " frontier="
+       << (part.frontier_picky ? part.frontier_picky->name : "-")
+       << " present=" << (part.answer_deemed_present ? "yes" : "no") << "\n";
+  }
+  return os.str();
+}
+
 /// Deterministic rendering of everything Table 5 talks about: the full
 /// detailed/condensed/secondary answers, per-c-tuple compatible-set sizes
 /// and survivors, and the baseline's verdict. List entries whose order is
@@ -132,20 +154,7 @@ std::string Snapshot(const UseCase& uc, const CaseRun& run) {
        << " indir=" << part.compat.indir.size()
        << " survivors=" << part.survivors_at_root << "\n";
   }
-  os << "== baseline ==\n";
-  if (!run.baseline.supported) {
-    os << "supported: no (" << run.baseline.unsupported_reason << ")\n";
-    return os.str();
-  }
-  os << "supported: yes\n";
-  os << "answer: " << run.baseline.AnswerToString() << "\n";
-  for (size_t i = 0; i < run.baseline.per_ctuple.size(); ++i) {
-    const auto& part = run.baseline.per_ctuple[i];
-    os << "ctuple[" << i << "]: unpicked=" << part.unpicked_items
-       << " frontier="
-       << (part.frontier_picky ? part.frontier_picky->name : "-")
-       << " present=" << (part.answer_deemed_present ? "yes" : "no") << "\n";
-  }
+  os << BaselineVerdict(run.baseline);
   return os.str();
 }
 
@@ -204,6 +213,57 @@ TEST(Golden, AllUseCasesAreThreadCountInvariant) {
     }
   }
   EXPECT_LE(pool.peak_active(), static_cast<size_t>(pool.thread_count()));
+}
+
+// ---- scaled answers -------------------------------------------------------
+
+/// FNV-1a digests of every use case's full NedExplain report plus the
+/// baseline's verdict over UseCaseRegistry::Build(4). They were recorded
+/// with the per-tuple executor and extend the golden proof to scaled data:
+/// any change to what either algorithm reports at x4 moves a digest. On an
+/// intentional answer change, the failure message prints the new value.
+const std::map<std::string, uint64_t>& ScaledX4Digests() {
+  static const auto* digests = new std::map<std::string, uint64_t>{
+      {"Crime1", 0xdad1fd29bb5fd602ull},   {"Crime2", 0xf105cb455ba99240ull},
+      {"Crime3", 0x896f519f30f450b7ull},   {"Crime4", 0x227a779941667f09ull},
+      {"Crime5", 0x155efa9862c30993ull},   {"Crime6", 0x2d197fcf1f330795ull},
+      {"Crime7", 0x57a46f7c76d003d4ull},   {"Crime8", 0x88ff3911b09eb4b8ull},
+      {"Crime9", 0xbf8f4b64e11cb22ull},    {"Crime10", 0xb7789a036aaef123ull},
+      {"Imdb1", 0x53776a9d318fa8f9ull},    {"Imdb2", 0x5c18a91d33b61dbull},
+      {"Gov1", 0x43897ef3067007a4ull},     {"Gov2", 0x12da5325a9edc0c7ull},
+      {"Gov3", 0x68940d29f60e93f7ull},     {"Gov4", 0x3ecb211059f950e6ull},
+      {"Gov5", 0x868d1ed37354123eull},     {"Gov6", 0x9e1ae73852a276f5ull},
+      {"Gov7", 0xfd2d47c47b668679ull},
+  };
+  return *digests;
+}
+
+TEST(Golden, ScaledX4ReportsMatchPinnedDigests) {
+  auto registry = UseCaseRegistry::Build(4);
+  ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+  ASSERT_EQ(registry->use_cases().size(), 19u);
+  for (const UseCase& uc : registry->use_cases()) {
+    auto tree = registry->BuildTree(uc);
+    ASSERT_TRUE(tree.ok()) << uc.name;
+    const Database& db = registry->database(uc.db_name);
+    auto engine = NedExplainEngine::Create(&*tree, &db);
+    ASSERT_TRUE(engine.ok()) << uc.name;
+    auto ned = engine->Explain(uc.question);
+    ASSERT_TRUE(ned.ok()) << uc.name << ": " << ned.status().ToString();
+    auto baseline = WhyNotBaseline::Create(&*tree, &db);
+    ASSERT_TRUE(baseline.ok()) << uc.name;
+    auto verdict = baseline->Explain(uc.question);
+    ASSERT_TRUE(verdict.ok()) << uc.name;
+    const std::string rendered =
+        RenderExplainReport(*engine, uc.question, *ned) +
+        BaselineVerdict(*verdict);
+    const uint64_t digest = Fnv1a64(rendered);
+    auto it = ScaledX4Digests().find(uc.name);
+    ASSERT_NE(it, ScaledX4Digests().end()) << uc.name << " has no digest";
+    EXPECT_EQ(it->second, digest)
+        << uc.name << " at x4 drifted; new digest {\"" << uc.name << "\", 0x"
+        << std::hex << digest << "ull}";
+  }
 }
 
 // ---- databases themselves ------------------------------------------------------
