@@ -223,8 +223,8 @@ int main(int argc, char** argv) {
             << med_noise_delta << " ms), traced overhead "
             << 100.0 * med_overhead << "% (" << med_overhead_delta << " ms)\n";
 
-  // Acceptance gates (absolute slack floor as in bench_parallel: the
-  // sub-millisecond use cases put 2% below timer resolution).
+  // Acceptance gates, with an absolute slack floor: the sub-millisecond
+  // use cases put 2% below timer resolution.
   const bool noise_ok =
       std::abs(med_noise) < 0.02 || std::abs(med_noise_delta) < 0.05;
   const bool traced_ok = med_overhead < 0.02 || med_overhead_delta < 0.05;

@@ -10,9 +10,6 @@
 #ifdef NED_FORCE_SUBTREE_CACHE
 #include "cache/subtree_cache.h"
 #endif
-#ifdef NED_FORCE_PARALLEL
-#include "exec/parallel.h"
-#endif
 
 namespace ned {
 
@@ -195,24 +192,9 @@ Result<NedExplainEngine> NedExplainEngine::Create(const QueryTree* tree,
 
 Result<NedExplainResult> NedExplainEngine::Explain(
     const WhyNotQuestion& question, ExecContext* ctx) {
-#ifdef NED_FORCE_PARALLEL
-  // The CI forced-parallel configuration: every evaluation that would run
-  // serial draws threads from one process-global pool instead, so the whole
-  // suite exercises the parallel paths. Bit-identity with serial evaluation
-  // (docs/PARALLELISM.md) is what makes this transparent.
-  static TaskPool* forced_pool = new TaskPool(3);
-  ExecContext forced_ctx;
-  if (ctx == nullptr) ctx = &forced_ctx;
-  if (ctx->task_pool() == nullptr) {
-    ctx->set_parallelism(forced_pool, 4);
-    ctx->set_parallel_min_rows(4);
-  }
-#endif
   NedExplainResult result;
 
-  // Per-request span sink (null = two-branch fast path everywhere). Spans
-  // are emitted only on this coordinator thread; worker shards never see
-  // the trace, so the span tree is identical at any thread count.
+  // Per-request span sink (null = two-branch fast path everywhere).
   obs::Trace* trace = ctx != nullptr ? ctx->trace() : nullptr;
 
   // Marks the run partial because `limit` tripped. Used wherever a governed
@@ -343,18 +325,14 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
   bool terminated = false;
   // One structural span per TabQ level, opened at the level's first entry
   // and closed when the walk leaves it (or at any exit from the loop). The
-  // open/close points depend only on the TabQ ordering, never on thread
-  // count, so the level spans are part of the deterministic structure.
+  // open/close points depend only on the TabQ ordering, so the level spans
+  // are part of the deterministic structure.
   int32_t level_span = -1;
   auto open_level_span = [&](int level) {
     if (trace == nullptr) return;
     if (level_span >= 0) trace->CloseSpan(level_span);
     level_span = trace->OpenSpan(StrCat("tabq_level_", level));
   };
-  // A limit that tripped during a level pre-warm (parallel sibling fan-out).
-  // It surfaces when the walk reaches the first node left unevaluated, which
-  // is exactly where the serial walk would have stopped.
-  Status prewarm_limit = Status::OK();
   for (size_t i = 0; i < tabq.size(); ++i) {
     TabQEntry& entry = tabq.at(i);
     const OperatorNode* m = entry.node;
@@ -399,40 +377,10 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
       open_level_span(entry.level());
     }
 
-    // -- Level pre-warm: when parallelism is active, evaluate this level's
-    //    sibling subtrees concurrently before the per-node walk consumes
-    //    them. Runs after the early-termination check, so it computes
-    //    exactly the node set the serial walk evaluates; without a task
-    //    pool (or with everything memoized) EvalNodes is a no-op.
-    if (prewarm_limit.ok() &&
-        (i == 0 || entry.level() != tabq.at(i - 1).level())) {
-      std::vector<const OperatorNode*> level_nodes;
-      for (size_t j = i;
-           j < tabq.size() && tabq.at(j).level() == entry.level(); ++j) {
-        level_nodes.push_back(tabq.at(j).node);
-      }
-      if (level_nodes.size() > 1) {
-        obs::PhasedSpanScope scope(phases, phase::kBottomUp, trace);
-        Status warm = evaluator->EvalNodes(level_nodes);
-        if (!warm.ok()) {
-          if (!IsResourceLimit(warm)) return warm;
-          prewarm_limit = warm;
-        }
-      }
-    }
-
     // -- Evaluate m on its input (Alg. 1 line 8) and maintain the parent's
     //    entries and the EmptyOutput/Picky managers (lines 9-14).
     {
       obs::PhasedSpanScope scope(phases, phase::kBottomUp, trace);
-      if (!prewarm_limit.ok() && evaluator->TryGetOutput(m) == nullptr) {
-        // The pre-warm tripped before (or while) computing m: stop here,
-        // keeping the maintenance state of everything evaluated below.
-        // Re-running m could consume a deterministic fault injection twice,
-        // so the walk must not retry.
-        mark_partial(prewarm_limit, m);
-        break;
-      }
       auto output_result = evaluator->EvalNode(m);
       if (!output_result.ok()) {
         // A limit tripping inside the operator leaves no output for m; the

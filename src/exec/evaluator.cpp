@@ -1,14 +1,12 @@
 #include "exec/evaluator.h"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <span>
 
 #include "algebra/fingerprint.h"
 #include "cache/subtree_cache.h"
 #include "common/strings.h"
-#include "exec/parallel.h"
 #include "expr/expression.h"
 
 namespace ned {
@@ -91,7 +89,7 @@ std::string HowProvenance(const IdSpan& lineage, const QueryInput& input) {
 }
 
 // ---------------------------------------------------------------------------
-// Row grouping, charging and partitioning helpers
+// Row grouping and charging helpers
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -362,44 +360,6 @@ void AddMergedProvenance(BlockBuilder* out, const RowGroups& groups, size_t g,
   AddMergedLineage(out, groups.sides(), groups.members(g), scratch);
 }
 
-/// Runs `morsel(begin, end, ctx, out)` over [0, n): in one call when the
-/// context plans no parallelism, else once per partition on the task pool,
-/// each governed by a worker shard. Partition outputs are appended in
-/// partition order, after folding each shard's charges and re-checking the
-/// limits, so the result is the serial production order exactly.
-template <typename T>
-Result<std::vector<T>> RunMorsels(
-    ExecContext* ctx, size_t n,
-    const std::function<Status(size_t, size_t, ExecContext*, std::vector<T>*)>&
-        morsel) {
-  const MorselPlan plan = PlanFor(ctx, n);
-  std::vector<T> out;
-  if (!plan.active()) {
-    NED_RETURN_NOT_OK(morsel(0, n, ctx, &out));
-    return out;
-  }
-  const size_t parts = plan.partitions;
-  std::vector<ExecContext> shards(parts);
-  std::vector<std::vector<T>> outs(parts);
-  std::vector<Status> statuses(parts, Status::OK());
-  for (size_t p = 0; p < parts; ++p) ctx->BeginWorkerShard(&shards[p]);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(parts);
-  for (size_t p = 0; p < parts; ++p) {
-    tasks.push_back([&, p] {
-      statuses[p] = morsel(plan.begin(p), plan.end(p), &shards[p], &outs[p]);
-    });
-  }
-  ctx->task_pool()->RunAndWait(tasks);
-  for (size_t p = 0; p < parts; ++p) {
-    ctx->FoldShard(shards[p]);
-    NED_RETURN_NOT_OK(ctx->CheckPoint());
-    NED_RETURN_NOT_OK(statuses[p]);
-    out.insert(out.end(), outs[p].begin(), outs[p].end());
-  }
-  return out;
-}
-
 /// Appends the aggregate values of `calls` over `members` (rows of `in`).
 Status AggregateInto(const Block& in, std::span<const uint64_t> members,
                      const std::vector<AggCall>& calls,
@@ -589,7 +549,7 @@ Result<bool> Evaluator::TryReplayCacheHit(const OperatorNode* node) {
       ChargeRest(ctx_, *hit);
     }
     // Post-replay boundary check, symmetric with the post-Compute one in
-    // ComputeAndStore: without it a pure-hit evaluation could blow its row
+    // EvalNode: without it a pure-hit evaluation could blow its row
     // budget and return OK because no later checkpoint ever runs.
     NED_RETURN_NOT_OK(CheckExec(ctx_));
     tuples_produced_ += hit->size();
@@ -609,13 +569,6 @@ const Block* Evaluator::Store(const OperatorNode* node, Block block) {
   return slot.get();
 }
 
-Result<const Block*> Evaluator::ComputeAndStore(const OperatorNode* node) {
-  NED_ASSIGN_OR_RETURN(Block block, Compute(node, ctx_));
-  tuples_produced_ += block.size();
-  NED_RETURN_NOT_OK(CheckExec(ctx_));
-  return Store(node, std::move(block));
-}
-
 Result<const Block*> Evaluator::EvalNode(const OperatorNode* node) {
   if (const Block* done = TryGetOutput(node)) return done;
   // Operator boundary: a governed evaluation re-checks its limits before
@@ -629,80 +582,13 @@ Result<const Block*> Evaluator::EvalNode(const OperatorNode* node) {
     auto child_result = EvalNode(child.get());
     if (!child_result.ok()) return child_result.status();
   }
-  return ComputeAndStore(node);
+  NED_ASSIGN_OR_RETURN(Block block, Compute(node));
+  tuples_produced_ += block.size();
+  NED_RETURN_NOT_OK(CheckExec(ctx_));
+  return Store(node, std::move(block));
 }
 
-Status Evaluator::EvalNodes(const std::vector<const OperatorNode*>& nodes) {
-  auto eval_serially = [&]() -> Status {
-    for (const OperatorNode* node : nodes) {
-      auto result = EvalNode(node);
-      if (!result.ok()) return result.status();
-    }
-    return Status::OK();
-  };
-  if (!ParallelActive(ctx_) || nodes.size() < 2) return eval_serially();
-
-  // Coordinator pre-pass in node order: the same memo / boundary-check /
-  // cache-replay sequence the EvalNode loop would run, leaving only nodes
-  // that genuinely need computing. Fan-out requires every child to be
-  // evaluated already (NedExplain's bottom-up level walk guarantees it);
-  // anything else falls back to the serial walk.
-  std::vector<const OperatorNode*> pending;
-  for (const OperatorNode* node : nodes) {
-    if (TryGetOutput(node) != nullptr) continue;
-    for (const auto& child : node->children) {
-      if (TryGetOutput(child.get()) == nullptr) return eval_serially();
-    }
-    NED_RETURN_NOT_OK(CheckExec(ctx_));
-    if (Cacheable(node)) {
-      NED_ASSIGN_OR_RETURN(bool hit, TryReplayCacheHit(node));
-      if (hit) continue;
-    }
-    pending.push_back(node);
-  }
-  if (pending.size() < 2) {
-    for (const OperatorNode* node : pending) {
-      auto result = ComputeAndStore(node);
-      if (!result.ok()) return result.status();
-    }
-    return Status::OK();
-  }
-
-  // Sibling fan-out: each pending node computes detached on a worker shard
-  // (disjoint subtrees, read-only view of memoized outputs). The
-  // coordinator folds shards back in node order -- charges, checkpoints,
-  // memoization and cache insertion all happen in the order the serial
-  // walk would produce, so observable state is identical.
-  const size_t n = pending.size();
-  std::vector<ExecContext> shards(n);
-  std::vector<std::optional<Block>> outs(n);
-  std::vector<Status> statuses(n, Status::OK());
-  for (size_t i = 0; i < n; ++i) ctx_->BeginWorkerShard(&shards[i]);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    tasks.push_back([this, &shards, &outs, &statuses, &pending, i] {
-      auto result = Compute(pending[i], &shards[i]);
-      if (result.ok()) {
-        outs[i].emplace(std::move(result).value());
-      } else {
-        statuses[i] = result.status();
-      }
-    });
-  }
-  ctx_->task_pool()->RunAndWait(tasks);
-  for (size_t i = 0; i < n; ++i) {
-    ctx_->FoldShard(shards[i]);
-    NED_RETURN_NOT_OK(ctx_->CheckPoint());
-    NED_RETURN_NOT_OK(statuses[i]);
-    tuples_produced_ += outs[i]->size();
-    Store(pending[i], std::move(*outs[i]));
-  }
-  return Status::OK();
-}
-
-Result<Block> Evaluator::Compute(const OperatorNode* node,
-                                 ExecContext* ctx) const {
+Result<Block> Evaluator::Compute(const OperatorNode* node) const {
   Result<Block> block = Status::Internal("unknown operator kind in Compute");
   switch (node->kind) {
     case OpKind::kScan: {
@@ -712,50 +598,38 @@ Result<Block> Evaluator::Compute(const OperatorNode* node,
       return *rows;
     }
     case OpKind::kSelect:
-      block = ComputeSelect(node, ctx);
+      block = ComputeSelect(node);
       break;
     case OpKind::kProject:
     case OpKind::kUnion:
     case OpKind::kDifference:
-      block = ComputeMerge(node, ctx);
+      block = ComputeMerge(node);
       break;
     case OpKind::kJoin:
-      block = ComputeJoin(node, ctx);
+      block = ComputeJoin(node);
       break;
     case OpKind::kAggregate:
-      block = ComputeAggregate(node, ctx);
+      block = ComputeAggregate(node);
       break;
   }
-  if (block.ok()) ChargeRest(ctx, *block);
+  if (block.ok()) ChargeRest(ctx_, *block);
   return block;
 }
 
-Result<Block> Evaluator::ComputeSelect(const OperatorNode* node,
-                                       ExecContext* ctx) const {
+Result<Block> Evaluator::ComputeSelect(const OperatorNode* node) const {
   const Block& in = Output(node->children[0].get());
   const size_t arity = node->output_schema.size();
   const BoundPredicate predicate =
       BoundPredicate::Bind(*node->predicate, node->children[0]->output_schema);
   NED_CHECK(in.size() <= UINT32_MAX);
-  // Each morsel filters its input slice in order; the partition-order merge
-  // reproduces the serial production order exactly (a filter is
-  // order-preserving).
-  NED_ASSIGN_OR_RETURN(
-      std::vector<uint32_t> kept,
-      RunMorsels<uint32_t>(
-          ctx, in.size(),
-          [&](size_t begin, size_t end, ExecContext* c,
-              std::vector<uint32_t>* out) -> Status {
-            for (size_t i = begin; i < end; ++i) {
-              NED_EXEC_TICK(c);
-              NED_ASSIGN_OR_RETURN(bool keep,
-                                   predicate.EvalBool(in.values(i).data()));
-              if (!keep) continue;
-              ChargeRow(c, arity);
-              out->push_back(static_cast<uint32_t>(i));
-            }
-            return Status::OK();
-          }));
+  std::vector<uint32_t> kept;
+  for (size_t i = 0; i < in.size(); ++i) {
+    NED_EXEC_TICK(ctx_);
+    NED_ASSIGN_OR_RETURN(bool keep, predicate.EvalBool(in.values(i).data()));
+    if (!keep) continue;
+    ChargeRow(ctx_, arity);
+    kept.push_back(static_cast<uint32_t>(i));
+  }
   size_t ids = 0;
   for (uint32_t i : kept) ids += in.lineage(i).size();
   BlockBuilder out(arity, RidBaseFor(node), 1);
@@ -769,12 +643,11 @@ Result<Block> Evaluator::ComputeSelect(const OperatorNode* node,
   return std::move(out).Finish();
 }
 
-Result<Block> Evaluator::ComputeMerge(const OperatorNode* node,
-                                      ExecContext* ctx) const {
+Result<Block> Evaluator::ComputeMerge(const OperatorNode* node) const {
   // Set semantics: value-equal rows merge; preds list every merged input row
   // and lineage is the union of their lineages (Cui & Widom lineage for
-  // projection, union and difference). Merges stay coordinator-serial:
-  // first-seen order *defines* the rid order (docs/PARALLELISM.md).
+  // projection, union and difference). First-seen order defines the rid
+  // order.
   const size_t arity = node->output_schema.size();
   const Block& left = Output(node->children[0].get());
   const Schema& ls = node->children[0]->output_schema;
@@ -818,9 +691,9 @@ Result<Block> Evaluator::ComputeMerge(const OperatorNode* node,
       // survivor's lineage is its left lineage (Cui & Widom difference).
       NED_ASSIGN_OR_RETURN(
           RowGroups right_values,
-          RowGroups::Build({Side{&right, &rmap}}, KeyEq::kExact, ctx, 0));
+          RowGroups::Build({Side{&right, &rmap}}, KeyEq::kExact, ctx_, 0));
       for (size_t i = 0; i < left.size(); ++i) {
-        NED_EXEC_TICK(ctx);
+        NED_EXEC_TICK(ctx_);
         if (right_values.Find(left.values(i).data(), lmap) < 0) {
           survivors.push_back(static_cast<uint32_t>(i));
         }
@@ -830,7 +703,7 @@ Result<Block> Evaluator::ComputeMerge(const OperatorNode* node,
   }
 
   NED_ASSIGN_OR_RETURN(RowGroups groups,
-                       RowGroups::Build(std::move(sides), KeyEq::kExact, ctx,
+                       RowGroups::Build(std::move(sides), KeyEq::kExact, ctx_,
                                         arity));
   BlockBuilder out(arity, RidBaseFor(node), 0);
   out.Reserve(groups.size(), groups.member_lineage_ids(),
@@ -845,8 +718,7 @@ Result<Block> Evaluator::ComputeMerge(const OperatorNode* node,
   return std::move(out).Finish();
 }
 
-Result<Block> Evaluator::ComputeJoin(const OperatorNode* node,
-                                     ExecContext* ctx) const {
+Result<Block> Evaluator::ComputeJoin(const OperatorNode* node) const {
   const Block& left = Output(node->children[0].get());
   const Block& right = Output(node->children[1].get());
   const Schema& ls = node->children[0]->output_schema;
@@ -903,58 +775,47 @@ Result<Block> Evaluator::ComputeJoin(const OperatorNode* node,
   if (!lkey.empty()) {
     NED_ASSIGN_OR_RETURN(
         RowGroups built,
-        RowGroups::Build({Side{&right, &rkey}}, KeyEq::kJoin, ctx, 0));
+        RowGroups::Build({Side{&right, &rkey}}, KeyEq::kJoin, ctx_, 0));
     table.emplace(std::move(built));
   }
 
-  // Probe: matching (left, right) row pairs in (left row, bucket) order. A
-  // morsel covers a disjoint left range, so the partition-order merge is
-  // the serial production order.
+  // Probe: matching (left, right) row pairs in (left row, bucket) order.
   using Match = std::pair<uint32_t, uint32_t>;
   NED_CHECK(left.size() <= UINT32_MAX && right.size() <= UINT32_MAX);
-  NED_ASSIGN_OR_RETURN(
-      std::vector<Match> matches,
-      RunMorsels<Match>(
-          ctx, left.size(),
-          [&](size_t begin, size_t end, ExecContext* c,
-              std::vector<Match>* out) -> Status {
-            auto try_pair = [&](size_t i, const Value* l,
-                                uint32_t r) -> Status {
-              // A cross join's inner loop must stay interruptible.
-              NED_EXEC_TICK(c);
-              const Value* rv = right.values(r).data();
-              // A bucket holds keys equal to its first member; verify each.
-              for (size_t k = 0; k < lkey.size(); ++k) {
-                if (!Value::Satisfies(l[lkey[k]], CompareOp::kEq,
-                                      rv[rkey[k]])) {
-                  return Status::OK();
-                }
-              }
-              if (extra.has_value()) {
-                NED_ASSIGN_OR_RETURN(bool keep, extra->EvalBool(l, rv));
-                if (!keep) return Status::OK();
-              }
-              ChargeRow(c, arity);
-              out->emplace_back(static_cast<uint32_t>(i), r);
-              return Status::OK();
-            };
-            for (size_t i = begin; i < end; ++i) {
-              NED_EXEC_TICK(c);
-              const Value* l = left.values(i).data();
-              if (!table.has_value()) {
-                for (uint32_t r = 0; r < right.size(); ++r) {
-                  NED_RETURN_NOT_OK(try_pair(i, l, r));
-                }
-                continue;
-              }
-              const int64_t g = table->Find(l, lkey);
-              if (g < 0) continue;
-              for (uint64_t m : table->members(static_cast<size_t>(g))) {
-                NED_RETURN_NOT_OK(try_pair(i, l, MemberRow(m)));
-              }
-            }
-            return Status::OK();
-          }));
+  std::vector<Match> matches;
+  auto try_pair = [&](size_t i, const Value* l, uint32_t r) -> Status {
+    // A cross join's inner loop must stay interruptible.
+    NED_EXEC_TICK(ctx_);
+    const Value* rv = right.values(r).data();
+    // A bucket holds keys equal to its first member; verify each.
+    for (size_t k = 0; k < lkey.size(); ++k) {
+      if (!Value::Satisfies(l[lkey[k]], CompareOp::kEq, rv[rkey[k]])) {
+        return Status::OK();
+      }
+    }
+    if (extra.has_value()) {
+      NED_ASSIGN_OR_RETURN(bool keep, extra->EvalBool(l, rv));
+      if (!keep) return Status::OK();
+    }
+    ChargeRow(ctx_, arity);
+    matches.emplace_back(static_cast<uint32_t>(i), r);
+    return Status::OK();
+  };
+  for (size_t i = 0; i < left.size(); ++i) {
+    NED_EXEC_TICK(ctx_);
+    const Value* l = left.values(i).data();
+    if (!table.has_value()) {
+      for (uint32_t r = 0; r < right.size(); ++r) {
+        NED_RETURN_NOT_OK(try_pair(i, l, r));
+      }
+      continue;
+    }
+    const int64_t g = table->Find(l, lkey);
+    if (g < 0) continue;
+    for (uint64_t m : table->members(static_cast<size_t>(g))) {
+      NED_RETURN_NOT_OK(try_pair(i, l, MemberRow(m)));
+    }
+  }
 
   size_t ids = 0;
   for (const auto& [l, r] : matches) {
@@ -976,8 +837,7 @@ Result<Block> Evaluator::ComputeJoin(const OperatorNode* node,
   return std::move(out).Finish();
 }
 
-Result<Block> Evaluator::ComputeAggregate(const OperatorNode* node,
-                                          ExecContext* ctx) const {
+Result<Block> Evaluator::ComputeAggregate(const OperatorNode* node) const {
   const Block& in = Output(node->children[0].get());
   const Schema& child_schema = node->children[0]->output_schema;
   const size_t arity = node->output_schema.size();
@@ -986,7 +846,7 @@ Result<Block> Evaluator::ComputeAggregate(const OperatorNode* node,
   // Group, preserving first-seen order.
   NED_ASSIGN_OR_RETURN(
       RowGroups groups,
-      RowGroups::Build({Side{&in, &group_idx}}, KeyEq::kExact, ctx, arity));
+      RowGroups::Build({Side{&in, &group_idx}}, KeyEq::kExact, ctx_, arity));
   std::vector<size_t> arg_idx;
   if (groups.size() > 0) {
     NED_ASSIGN_OR_RETURN(arg_idx, ResolveArgs(child_schema, node->aggregates));
@@ -1001,7 +861,7 @@ Result<Block> Evaluator::ComputeAggregate(const OperatorNode* node,
     for (size_t idx : group_idx) out.AddValue(key[idx]);
     aggregates.clear();
     NED_RETURN_NOT_OK(AggregateInto(in, groups.members(g), node->aggregates,
-                                    arg_idx, ctx, &aggregates));
+                                    arg_idx, ctx_, &aggregates));
     for (Value& v : aggregates) out.AddValue(std::move(v));
     AddMergedProvenance(&out, groups, g, &scratch);
     out.EndRow();

@@ -105,15 +105,6 @@ class Evaluator {
   /// Output of `node`, evaluating (and caching) descendants as needed.
   Result<const Block*> EvalNode(const OperatorNode* node);
 
-  /// Evaluates `nodes` (typically one TabQ level of sibling subtrees),
-  /// leaving each memoized as if EvalNode had been called in order. When the
-  /// context carries a task pool, nodes whose children are all evaluated are
-  /// computed concurrently on worker shards and folded back in node order --
-  /// answers, rids, charges and cache insertions are identical to the serial
-  /// walk (docs/PARALLELISM.md). Without parallelism this is exactly the
-  /// EvalNode loop.
-  Status EvalNodes(const std::vector<const OperatorNode*>& nodes);
-
   /// Evaluates the whole tree; returns the root output.
   Result<const Block*> EvalAll() { return EvalNode(tree_->root()); }
 
@@ -145,25 +136,17 @@ class Evaluator {
  private:
   using BlockPtr = std::shared_ptr<const Block>;
 
-  /// Computes `node`'s block from its (evaluated) children, governed by
-  /// `ctx` -- the evaluator's own, or a worker shard's during sibling
-  /// fan-out. Reads only memoized state, so detached sibling Computes can
-  /// run concurrently.
-  Result<Block> Compute(const OperatorNode* node, ExecContext* ctx) const;
-  Result<Block> ComputeSelect(const OperatorNode* node, ExecContext* ctx) const;
-  Result<Block> ComputeMerge(const OperatorNode* node, ExecContext* ctx) const;
-  Result<Block> ComputeJoin(const OperatorNode* node, ExecContext* ctx) const;
-  Result<Block> ComputeAggregate(const OperatorNode* node,
-                                 ExecContext* ctx) const;
+  /// Computes `node`'s block from its (evaluated) children.
+  Result<Block> Compute(const OperatorNode* node) const;
+  Result<Block> ComputeSelect(const OperatorNode* node) const;
+  Result<Block> ComputeMerge(const OperatorNode* node) const;
+  Result<Block> ComputeJoin(const OperatorNode* node) const;
+  Result<Block> ComputeAggregate(const OperatorNode* node) const;
 
   /// Replays a subtree-cache hit for `node` into the memo (charges + ticks
   /// as recomputation would make). Returns false on miss. Caller must have
   /// established cacheability.
   Result<bool> TryReplayCacheHit(const OperatorNode* node);
-
-  /// Computes `node` (children must be evaluated), stores + cache-inserts
-  /// the result. The tail half of EvalNode, shared with EvalNodes.
-  Result<const Block*> ComputeAndStore(const OperatorNode* node);
 
   /// Memoizes `block` as `node`'s output (and offers it to the cache).
   const Block* Store(const OperatorNode* node, Block block);

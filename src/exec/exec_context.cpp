@@ -28,10 +28,6 @@ Status ExecContext::CheckPoint() {
   if (cancel_requested()) {
     return Status::Cancelled("evaluation cancelled by caller");
   }
-  if (parent_cancel_ != nullptr &&
-      parent_cancel_->load(std::memory_order_relaxed)) {
-    return Status::Cancelled("evaluation cancelled by caller");
-  }
   const size_t rows = rows_charged_.load(std::memory_order_relaxed);
   if (row_budget_ != 0 && rows > row_budget_) {
     return Status::ResourceExhausted(
@@ -49,35 +45,6 @@ Status ExecContext::CheckPoint() {
         StrCat("deadline exceeded after ", step, " checkpoints"));
   }
   return Status::OK();
-}
-
-void ExecContext::BeginWorkerShard(ExecContext* shard) const {
-  // Limits are copied so a worker trips deadline/budget locally; counters
-  // start at the coordinator's snapshot so "parent-so-far + my morsel" is
-  // what the worker's budget comparison sees. Fault injection, the task
-  // pool and the trace are deliberately NOT inherited: injection steps stay
-  // a coordinator-only, deterministic step space, a worker never fans out
-  // again (no nested morsel explosions), and spans are emitted only by the
-  // coordinator so the span tree is identical at any thread count
-  // (trace_test pins this).
-  shard->clock_ = clock_;
-  shard->deadline_ = deadline_;
-  shard->row_budget_ = row_budget_;
-  shard->memory_budget_ = memory_budget_;
-  shard->parent_cancel_ = &cancelled_;
-  shard->base_rows_ = rows_charged();
-  shard->base_bytes_ = bytes_charged();
-  shard->rows_charged_.store(shard->base_rows_, std::memory_order_relaxed);
-  shard->bytes_charged_.store(shard->base_bytes_, std::memory_order_relaxed);
-}
-
-void ExecContext::FoldShard(const ExecContext& shard) {
-  // The shard's counters began at the coordinator snapshot; fold the delta.
-  // Runs on the coordinator thread after the worker finished (the pool's
-  // section completion synchronises), so the single-writer counter contract
-  // holds throughout.
-  ChargeRows(shard.rows_charged() - shard.base_rows_);
-  ChargeBytes(shard.bytes_charged() - shard.base_bytes_);
 }
 
 }  // namespace ned

@@ -34,16 +34,9 @@ namespace obs {
 class Trace;
 }  // namespace obs
 
-class TaskPool;
-
 /// Inner loops call CheckEvery() per row; the full CheckPoint() (clock read,
 /// budget comparison, injection test) runs once per this many rows.
 inline constexpr uint64_t kCheckInterval = 256;
-
-/// Default minimum rows per morsel before a parallel operator partitions its
-/// input. Below this, partitioning overhead dominates; tests lower it to
-/// exercise the parallel paths on small workloads.
-inline constexpr size_t kDefaultParallelMinRows = 64;
 
 /// Limits and cancellation for one evaluation.
 ///
@@ -107,56 +100,14 @@ class ExecContext {
     inject_at_.store(step_index, std::memory_order_relaxed);
   }
 
-  // ---- intra-query parallelism --------------------------------------------
-
-  /// Enables intra-query parallelism: morsel fan-out draws threads from
-  /// `pool` and partitions for up to `threads` concurrent workers. Like the
-  /// other configuration, set before evaluation starts; the pool must
-  /// outlive the context. threads <= 1 (or pool == nullptr) keeps the exact
-  /// serial code paths. See docs/PARALLELISM.md.
-  void set_parallelism(TaskPool* pool, int threads) {
-    pool_ = pool;
-    threads_ = threads < 1 ? 1 : threads;
-  }
-  TaskPool* task_pool() const { return pool_; }
-  int threads() const { return threads_; }
-
-  /// Minimum rows per morsel before an operator partitions (default
-  /// kDefaultParallelMinRows). Tests lower it so small workloads still
-  /// exercise the partitioned paths.
-  void set_parallel_min_rows(size_t n) { parallel_min_rows_ = n == 0 ? 1 : n; }
-  size_t parallel_min_rows() const { return parallel_min_rows_; }
-
   // ---- tracing ------------------------------------------------------------
 
   /// Attaches a per-request span sink (obs/trace.h). Configuration like the
   /// rest: set before evaluation starts, trace must outlive the context.
   /// nullptr (the default) keeps every emission site on its two-branch
-  /// fast path. The trace is coordinator-only and deliberately NOT
-  /// propagated to worker shards, which is what makes span structure
-  /// identical across thread counts (docs/OBSERVABILITY.md).
+  /// fast path.
   void set_trace(obs::Trace* trace) { trace_ = trace; }
   obs::Trace* trace() const { return trace_; }
-
-  // ---- worker shards ------------------------------------------------------
-  //
-  // Each parallel worker governs its morsel through a private shard context:
-  // charges land in the shard (no cross-thread counter writes, preserving
-  // the single-writer contract below), while budget checks still see
-  // parent-so-far + local because the shard's counters start at the parent's
-  // snapshot. Deadline and the parent's cancellation flag are observed at
-  // every worker checkpoint; fault injection and the *global* budget
-  // decision stay coordinator-only, taken at partition-fold boundaries in
-  // deterministic partition order (docs/PARALLELISM.md).
-
-  /// Initialises `shard` as a worker-side view of this context for one
-  /// partition. Coordinator thread only, before the worker starts.
-  void BeginWorkerShard(ExecContext* shard) const;
-
-  /// Folds a finished worker shard's charges into this context (the delta
-  /// over the snapshot BeginWorkerShard installed). Coordinator thread only,
-  /// after the worker finished; call in partition order, then CheckPoint().
-  void FoldShard(const ExecContext& shard);
 
   // ---- accounting ---------------------------------------------------------
 
@@ -219,17 +170,7 @@ class ExecContext {
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   size_t row_budget_ = 0;
   size_t memory_budget_ = 0;
-  TaskPool* pool_ = nullptr;
-  int threads_ = 1;
-  size_t parallel_min_rows_ = kDefaultParallelMinRows;
   obs::Trace* trace_ = nullptr;
-  // Worker shards observe the coordinator's cancellation flag (and their
-  // counters start at its snapshot, recorded here so folding charges the
-  // delta only). Both are configuration from the shard's point of view:
-  // written once by BeginWorkerShard before the worker runs.
-  const std::atomic<bool>* parent_cancel_ = nullptr;
-  size_t base_rows_ = 0;
-  size_t base_bytes_ = 0;
   std::atomic<bool> cancelled_{false};
   std::atomic<uint64_t> inject_at_{0};
   std::atomic<uint64_t> steps_{0};

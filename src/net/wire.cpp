@@ -468,9 +468,6 @@ std::string RenderWhyNotRequestJson(const WhyNotRequest& request) {
     AppendUintField(&out, "memory_budget", request.memory_budget, &first);
   }
   if (request.seed != 0) AppendUintField(&out, "seed", request.seed, &first);
-  if (request.threads != 0) {
-    AppendIntField(&out, "threads", request.threads, &first);
-  }
   if (request.bypass_answer_cache) {
     AppendBoolField(&out, "bypass_answer_cache", true, &first);
   }
@@ -533,10 +530,6 @@ Result<WhyNotRequest> ParseWhyNotRequestJson(std::string_view body) {
       request.memory_budget = static_cast<size_t>(budget);
     } else if (key == "seed") {
       NED_ASSIGN_OR_RETURN(request.seed, ReadUint(member, "seed"));
-    } else if (key == "threads") {
-      NED_ASSIGN_OR_RETURN(int64_t threads, ReadInt(member, "threads"));
-      if (threads < 0) return WrongType("threads", "a non-negative integer");
-      request.threads = static_cast<int>(threads);
     } else if (key == "bypass_answer_cache") {
       NED_ASSIGN_OR_RETURN(request.bypass_answer_cache,
                            ReadBool(member, "bypass_answer_cache"));

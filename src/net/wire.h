@@ -24,7 +24,7 @@
 ///     "client_id": "...",                 // optional fair-share identity
 ///     "priority": "interactive",          // interactive | batch | background
 ///     "deadline_ms": 2000, "row_budget": 0, "memory_budget": 0,
-///     "seed": 0, "threads": 0,
+///     "seed": 0,
 ///     "bypass_answer_cache": false, "collect_trace": false,
 ///     "engine": {"early_termination": true, "secondary": true,
 ///                "tabq_dump": false}

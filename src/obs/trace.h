@@ -13,13 +13,11 @@
 ///    trace is attached: every emission site is guarded by a raw pointer
 ///    check (SpanScope on a nullptr trace compiles down to two branches).
 ///    bench_obs gates the attached-trace overhead itself at <2%.
-///  - *Thread-count determinism.* Spans are emitted only by the coordinator
-///    thread of a request; worker shards never see the trace
-///    (ExecContext::BeginWorkerShard deliberately does not propagate it).
-///    Hence RenderStructure() -- the names-and-nesting rendering with no
-///    durations -- is byte-identical for serial and parallel evaluation of
-///    the same request, the span-structure analogue of the engine's
-///    rid-merge answer identity.
+///  - *Deterministic structure.* The engine opens its spans at points fixed
+///    by the query tree and the TabQ order, so for a complete run
+///    RenderStructure() -- the names-and-nesting rendering with no
+///    durations -- depends only on the query, the question and the data
+///    (trace_test pins it for the 19 use cases).
 ///
 /// Trace is deliberately NOT thread-safe: exactly one thread appends to it
 /// at a time. Cross-thread handoff (client -> worker -> client) is sequenced

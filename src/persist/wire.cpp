@@ -284,7 +284,10 @@ std::string EncodeRequest(const WhyNotRequest& request) {
   PutU64(&out, request.row_budget);
   PutU64(&out, request.memory_budget);
   PutU64(&out, request.seed);
-  PutI64(&out, request.threads);
+  // Reserved: the former per-request thread count. Kept (always 0) so the
+  // record layout and kRequestCodecVersion stay unchanged and journals
+  // written before it was removed still decode.
+  PutI64(&out, 0);
   PutU64(&out, request.inject_fault_at_step);
   PutI64(&out, request.inject_transient_failures);
   const uint8_t flags =
@@ -304,13 +307,15 @@ Status DecodeRequest(std::string_view payload, WhyNotRequest* out) {
   }
   WhyNotRequest req;
   uint8_t priority = 0, flags = 0;
-  int64_t threads = 0, transients = 0;
+  // `reserved` is the former thread-count slot: read and discarded, since
+  // journals written before its removal may hold any count there.
+  int64_t reserved = 0, transients = 0;
   uint64_t row_budget = 0, memory_budget = 0;
   bool ok = r.GetStr(&req.key) && r.GetStr(&req.db_name) && r.GetStr(&req.sql);
   ok = ok && DecodeQuestion(&r, &req.question);
   ok = ok && r.GetU8(&priority) && r.GetStr(&req.client_id) &&
        r.GetI64(&req.deadline_ms) && r.GetU64(&row_budget) &&
-       r.GetU64(&memory_budget) && r.GetU64(&req.seed) && r.GetI64(&threads) &&
+       r.GetU64(&memory_budget) && r.GetU64(&req.seed) && r.GetI64(&reserved) &&
        r.GetU64(&req.inject_fault_at_step) && r.GetI64(&transients) &&
        r.GetU8(&flags);
   if (!ok || !r.AtEnd() || priority >= kPriorityClasses) {
@@ -319,7 +324,6 @@ Status DecodeRequest(std::string_view payload, WhyNotRequest* out) {
   req.priority = static_cast<Priority>(priority);
   req.row_budget = static_cast<size_t>(row_budget);
   req.memory_budget = static_cast<size_t>(memory_budget);
-  req.threads = static_cast<int>(threads);
   req.inject_transient_failures = static_cast<int>(transients);
   req.bypass_answer_cache = (flags & 1u) != 0;
   req.engine_options.enable_early_termination = (flags & 2u) != 0;

@@ -39,11 +39,6 @@ struct WhyNotRequest {
   /// jitter); derived per request, never process-global, so concurrent runs
   /// stay deterministic.
   uint64_t seed = 0;
-  /// Intra-query threads for this request: 0 = the service default
-  /// (ServiceOptions::threads_per_request), 1 = force serial; higher values
-  /// are clamped to the service default so one client cannot widen the
-  /// configured bound.
-  int threads = 0;
   /// Chaos knobs (see service.h for the semantics split).
   uint64_t inject_fault_at_step = 0;
   int inject_transient_failures = 0;

@@ -6,22 +6,12 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "exec/parallel.h"
 #include "persist/wire.h"
 #include "sql/binder.h"
 
 namespace ned {
 
 namespace {
-
-/// Pool backing intra-query parallelism: workers coordinate their own
-/// requests, the pool supplies the extra threads. 0 when serial.
-size_t ResolvePoolThreads(const ServiceOptions& options) {
-  if (options.threads_per_request <= 1) return 0;
-  if (options.parallel_pool_threads != 0) return options.parallel_pool_threads;
-  return static_cast<size_t>(options.workers) *
-         static_cast<size_t>(options.threads_per_request - 1);
-}
 
 double MsSince(Clock::TimePoint start, Clock::TimePoint end) {
   return std::chrono::duration<double, std::milli>(end - start).count();
@@ -146,10 +136,6 @@ WhyNotService::WhyNotService(std::shared_ptr<Catalog> catalog,
       breaker_(options.breaker.failure_threshold > 0
                    ? std::make_unique<CircuitBreaker>(options.breaker, clock_)
                    : nullptr),
-      task_pool_(options.threads_per_request > 1
-                     ? std::make_unique<TaskPool>(
-                           static_cast<int>(ResolvePoolThreads(options)))
-                     : nullptr),
       scheduler_(SchedulerOptions{options.queue_capacity,
                                   options.per_client_limit}),
       brownout_(options.brownout.enabled
@@ -317,16 +303,6 @@ void WhyNotService::CollectMirrors() {
         ->Set(static_cast<int64_t>(j.rotations));
     registry_.GetGauge("ned_journal_bytes_written")
         ->Set(static_cast<int64_t>(j.bytes_written));
-  }
-  if (task_pool_ != nullptr) {
-    registry_.GetGauge("ned_parallel_pool_threads")
-        ->Set(task_pool_->thread_count());
-    registry_.GetGauge("ned_parallel_peak_active")
-        ->Set(static_cast<int64_t>(task_pool_->peak_active()));
-    registry_.GetGauge("ned_parallel_pool_tasks")
-        ->Set(static_cast<int64_t>(task_pool_->pool_tasks_run()));
-    registry_.GetGauge("ned_parallel_inline_tasks")
-        ->Set(static_cast<int64_t>(task_pool_->inline_tasks_run()));
   }
 }
 
@@ -671,19 +647,6 @@ WhyNotService::Submission WhyNotService::SubmitImpl(
   if (mem != 0) job->ctx->set_memory_budget(mem);
   if (job->request.inject_fault_at_step != 0) {
     job->ctx->InjectFailureAt(job->request.inject_fault_at_step);
-  }
-  if (task_pool_ != nullptr) {
-    // Intra-query parallelism: the request may force serial (threads = 1)
-    // or narrow its fan-out, but never widen past the service bound.
-    int threads = job->request.threads != 0 ? job->request.threads
-                                            : options_.threads_per_request;
-    threads = std::min(threads, options_.threads_per_request);
-    if (threads > 1) {
-      job->ctx->set_parallelism(task_pool_.get(), threads);
-      if (options_.parallel_min_rows != 0) {
-        job->ctx->set_parallel_min_rows(options_.parallel_min_rows);
-      }
-    }
   }
   job->future = job->promise.get_future().share();
 
@@ -1436,14 +1399,6 @@ JournalStats WhyNotService::journal_stats() const {
 AnswerStoreStats WhyNotService::answer_store_stats() const {
   return answer_store_ != nullptr ? answer_store_->stats()
                                   : AnswerStoreStats{};
-}
-
-int WhyNotService::parallel_pool_size() const {
-  return task_pool_ != nullptr ? task_pool_->thread_count() : 0;
-}
-
-size_t WhyNotService::parallel_peak_active() const {
-  return task_pool_ != nullptr ? task_pool_->peak_active() : 0;
 }
 
 }  // namespace ned

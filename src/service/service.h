@@ -137,21 +137,6 @@ struct ServiceOptions {
   /// Brownout ladder policy (disabled unless brownout.enabled). A zero
   /// brownout.p99_target_ms inherits `default_deadline_ms`.
   BrownoutOptions brownout;
-  /// Intra-query parallelism: each request's evaluation may fan out onto up
-  /// to this many threads, itself included (1 = serial, the default; answers
-  /// are bit-identical either way). Coordinated against the worker pool:
-  /// all requests draw extra threads from one service-wide TaskPool, so
-  /// total intra-query parallelism stays bounded no matter how many
-  /// requests run concurrently. See docs/PARALLELISM.md.
-  int threads_per_request = 1;
-  /// Size of that shared pool; 0 = workers * (threads_per_request - 1)
-  /// (every worker is a coordinator contributing its own thread, the pool
-  /// supplies the rest).
-  size_t parallel_pool_threads = 0;
-  /// Morsel activation threshold handed to each request's ExecContext
-  /// (0 = engine default, kDefaultParallelMinRows). Tests lower it so small
-  /// relations still exercise the partitioned paths.
-  size_t parallel_min_rows = 0;
   /// Time source for deadlines, expiry, breaker probes and the watchdog.
   /// nullptr = the real steady clock. Tests inject a ManualClock here to
   /// make time-driven behaviour deterministic.
@@ -411,8 +396,8 @@ class WhyNotService {
 
   /// The service's unified metrics registry (src/obs/): every counter in
   /// Stats, latency histograms (ned_request_{queue,exec,total}_us) and
-  /// mirror gauges for the scheduler, brownout, breaker, cache, journal and
-  /// parallel-pool internals, refreshed by a collector at Collect() time.
+  /// mirror gauges for the scheduler, brownout, breaker, cache and journal
+  /// internals, refreshed by a collector at Collect() time.
   /// Collect() takes the service mutex via that collector -- never call it
   /// while holding locks that order after mu_. See docs/OBSERVABILITY.md
   /// for the catalog.
@@ -429,12 +414,6 @@ class WhyNotService {
   /// corresponding byte budget is 0).
   LruStats subtree_cache_stats() const;
   LruStats answer_cache_stats() const;
-
-  /// Threads in the shared intra-query pool (0 when threads_per_request <=
-  /// 1) and the high-watermark of pool threads ever concurrently running
-  /// intra-query work -- ned_stress asserts peak <= size.
-  int parallel_pool_size() const;
-  size_t parallel_peak_active() const;
 
   /// Durability-layer introspection (zero-value structs with persistence
   /// off).
@@ -530,10 +509,6 @@ class WhyNotService {
   const std::unique_ptr<AnswerCache> answer_cache_;
   /// Internally locked (workers call End outside mu_); null when disabled.
   const std::unique_ptr<CircuitBreaker> breaker_;
-  /// Shared intra-query task pool (docs/PARALLELISM.md); null when
-  /// threads_per_request <= 1. Declared before the worker threads so it
-  /// outlives every evaluation.
-  const std::unique_ptr<TaskPool> task_pool_;
   /// Durability layer; both null when options.persist_dir is empty. The
   /// journal and store are internally locked (appends from Submit/Finalize
   /// hold mu_ first; store entry-file IO -- Submit lookups and Execute puts

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/parallel.h"
 #include "expr/satisfiability.h"
 
 namespace ned {
@@ -69,16 +68,6 @@ Result<CompatibleSets> FindCompatibles(
   }
   sets.cond_alpha.cond = unrenamed_tc.cond();
 
-  // Unreferenced aliases (whole instance into InDir) stay serial: they are
-  // pure set inserts. Referenced aliases run the IsCompatible scan, which is
-  // the part worth fanning out -- across aliases (independent branches of
-  // the algebra tree) and across morsels within large aliases.
-  struct DirScan {
-    const std::string* alias;
-    const Block* rows;
-    const Schema* schema;
-  };
-  std::vector<DirScan> scans;
   for (const std::string& alias : input.aliases()) {
     NED_ASSIGN_OR_RETURN(const Block* rows, input.AliasBlock(alias));
     if (referenced_aliases.count(alias) == 0) {
@@ -92,78 +81,15 @@ Result<CompatibleSets> FindCompatibles(
       continue;
     }
     NED_ASSIGN_OR_RETURN(const Schema* schema, input.AliasSchema(alias));
-    sets.dir_by_alias[alias];  // S_tc membership even when the scan is empty
-    scans.push_back(DirScan{&alias, rows, schema});
-  }
-
-  if (ParallelActive(ctx) && !scans.empty()) {
-    // One task per (alias, morsel): workers only match (IsCompatible is
-    // pure) and record matching rids; the coordinator folds charges and
-    // inserts matches in (alias, morsel) order, which is exactly the order
-    // the serial scan would produce. dir/all/indir are unordered sets and
-    // dir_by_alias lists get row-order rids, so results are identical.
-    struct Morsel {
-      size_t scan;
-      size_t begin;
-      size_t end;
-    };
-    std::vector<Morsel> morsels;
-    for (size_t s = 0; s < scans.size(); ++s) {
-      const size_t n = scans[s].rows->size();
-      const MorselPlan plan = PlanFor(ctx, n);
-      for (size_t p = 0; p < plan.partitions; ++p) {
-        if (plan.begin(p) < plan.end(p)) {
-          morsels.push_back(Morsel{s, plan.begin(p), plan.end(p)});
-        }
-      }
-    }
-    std::vector<ExecContext> shards(morsels.size());
-    std::vector<std::vector<TupleId>> matches(morsels.size());
-    for (size_t m = 0; m < morsels.size(); ++m) ctx->BeginWorkerShard(&shards[m]);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(morsels.size());
-    std::vector<Status> statuses(morsels.size(), Status::OK());
-    for (size_t m = 0; m < morsels.size(); ++m) {
-      tasks.push_back([&, m] {
-        const Morsel& morsel = morsels[m];
-        const DirScan& scan = scans[morsel.scan];
-        auto run = [&]() -> Status {
-          for (size_t i = morsel.begin; i < morsel.end; ++i) {
-            NED_EXEC_TICK(&shards[m]);
-            if (IsCompatible(unrenamed_tc, scan.rows->values(i),
-                             *scan.schema)) {
-              matches[m].push_back(scan.rows->rid(i));
-            }
-          }
-          return Status::OK();
-        };
-        statuses[m] = run();
-      });
-    }
-    ctx->task_pool()->RunAndWait(tasks);
-    for (size_t m = 0; m < morsels.size(); ++m) {
-      ctx->FoldShard(shards[m]);
-      NED_RETURN_NOT_OK(ctx->CheckPoint());
-      NED_RETURN_NOT_OK(statuses[m]);
-      std::vector<TupleId>& dir_list =
-          sets.dir_by_alias[*scans[morsels[m].scan].alias];
-      for (TupleId rid : matches[m]) {
-        dir_list.push_back(rid);
-        sets.dir.insert(rid);
-        sets.all.insert(rid);
-      }
-    }
-  } else {
-    for (const DirScan& scan : scans) {
-      std::vector<TupleId>& dir_list = sets.dir_by_alias[*scan.alias];
-      for (size_t i = 0; i < scan.rows->size(); ++i) {
-        NED_EXEC_TICK(ctx);
-        if (IsCompatible(unrenamed_tc, scan.rows->values(i), *scan.schema)) {
-          const TupleId id = scan.rows->rid(i);
-          dir_list.push_back(id);
-          sets.dir.insert(id);
-          sets.all.insert(id);
-        }
+    // S_tc membership even when the scan is empty.
+    std::vector<TupleId>& dir_list = sets.dir_by_alias[alias];
+    for (size_t i = 0; i < rows->size(); ++i) {
+      NED_EXEC_TICK(ctx);
+      if (IsCompatible(unrenamed_tc, rows->values(i), *schema)) {
+        const TupleId id = rows->rid(i);
+        dir_list.push_back(id);
+        sets.dir.insert(id);
+        sets.all.insert(id);
       }
     }
   }

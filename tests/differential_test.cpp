@@ -24,8 +24,6 @@
 #include "core/nedexplain.h"
 #include "core/report.h"
 #include "datasets/use_cases.h"
-#include "exec/exec_context.h"
-#include "exec/parallel.h"
 #include "testing/difftest.h"
 #include "testing/oracle.h"
 #include "testing/workload.h"
@@ -295,126 +293,6 @@ TEST(Differential, UseCaseReportsAreUnchangedByCaching) {
     }
   }
   EXPECT_GT(warm_hits, 0u);
-}
-
-// ---- parallelism must be answer-invisible (this PR) ------------------------
-
-// Sweep: for every generated workload, the engine run with intra-query
-// parallelism at threads 1, 2 and 4 (shared 3-worker pool, activation
-// threshold lowered so the small generated instances still partition) must
-// produce bit-identical answers at every granularity -- detailed, condensed,
-// secondary, Dir/InDir totals -- AND a byte-identical rendered report.
-TEST(Differential, ParallelEngineMatchesSerialOverSeedSweep) {
-  constexpr uint64_t kSweepFirst = 1;
-  constexpr uint64_t kSweepLast = 1000;
-  TaskPool pool(3);
-  size_t ran = 0;
-  size_t partitioned_runs = 0;  // runs where the pool actually saw tasks
-  size_t failures = 0;
-  for (uint64_t seed = kSweepFirst; seed <= kSweepLast; ++seed) {
-    GenWorkload w = MakeDiffWorkload(seed);
-    auto compiled = CompileWorkload(w);
-    if (!compiled.ok()) continue;  // rejected workloads are the sweep's job
-    auto engine = NedExplainEngine::Create((*compiled).tree.get(),
-                                           (*compiled).db.get());
-    if (!engine.ok()) continue;
-    auto r_serial = engine->Explain(w.question);
-    if (!r_serial.ok()) continue;
-    const AnswerSummary s_serial = SummarizeResult(*engine, *r_serial);
-    const std::string report_serial =
-        RenderExplainReport(*engine, w.question, *r_serial);
-
-    for (int threads : {1, 2, 4}) {
-      const size_t pool_tasks_before = pool.pool_tasks_run();
-      ExecContext ctx;
-      ctx.set_parallelism(&pool, threads);
-      ctx.set_parallel_min_rows(2);
-      auto r_par = engine->Explain(w.question, &ctx);
-      ASSERT_TRUE(r_par.ok())
-          << "seed " << seed << " threads " << threads << ": "
-          << r_par.status().ToString();
-      ASSERT_TRUE(r_par->completeness.complete)
-          << "seed " << seed << " threads " << threads
-          << ": unlimited parallel run came back partial";
-      const AnswerSummary s_par = SummarizeResult(*engine, *r_par);
-      const std::string report_par =
-          RenderExplainReport(*engine, w.question, *r_par);
-      if (!SameAnswer(s_serial, s_par) || report_par != report_serial) {
-        ++failures;
-        ADD_FAILURE() << "seed " << seed << " threads " << threads
-                      << ": parallel answer diverged\n  serial: "
-                      << s_serial.ToString() << "\n  parallel: "
-                      << s_par.ToString() << "\n" << DescribeWorkload(w);
-        if (failures >= 10) {
-          GTEST_FAIL() << "stopping after 10 divergent seeds";
-        }
-      }
-      if (threads > 1 && pool.pool_tasks_run() > pool_tasks_before) {
-        ++partitioned_runs;
-      }
-    }
-    ++ran;
-  }
-  EXPECT_GE(ran, (kSweepLast - kSweepFirst + 1) * 9 / 10)
-      << "too many workloads skipped; the parallel sweep lost its coverage";
-  // The sweep only proves something if parallelism genuinely engaged: a
-  // healthy fraction of runs must have dispatched work to pool threads
-  // (caller-inline-only execution would mean the fan-out never happened).
-  EXPECT_GT(partitioned_runs, ran / 4)
-      << "parallel runs almost never dispatched to the pool";
-  EXPECT_LE(pool.peak_active(), static_cast<size_t>(pool.thread_count()));
-}
-
-// Caching and parallelism must compose: a cold *parallel* run populates the
-// SubtreeCache exactly as a serial run would (fingerprints, rid ranges,
-// charges are thread-count-independent), so a warm parallel pass replays
-// with zero misses and the answers stay bit-identical to the cache-free
-// serial engine.
-TEST(Differential, WarmCacheReplayMatchesColdParallelEvaluation) {
-  constexpr uint64_t kSweepFirst = 1;
-  constexpr uint64_t kSweepLast = 400;
-  TaskPool pool(3);
-  size_t ran = 0;
-  uint64_t warm_hits = 0;
-  for (uint64_t seed = kSweepFirst; seed <= kSweepLast; ++seed) {
-    GenWorkload w = MakeDiffWorkload(seed);
-    auto compiled = CompileWorkload(w);
-    if (!compiled.ok()) continue;
-    auto engine_off = NedExplainEngine::Create((*compiled).tree.get(),
-                                               (*compiled).db.get());
-    if (!engine_off.ok()) continue;
-    auto r_off = engine_off->Explain(w.question);
-    if (!r_off.ok()) continue;
-    const AnswerSummary s_off = SummarizeResult(*engine_off, *r_off);
-
-    SubtreeCache cache(64u << 20);
-    NedExplainOptions on_opts;
-    on_opts.subtree_cache = &cache;
-    auto engine_on = NedExplainEngine::Create((*compiled).tree.get(),
-                                              (*compiled).db.get(), on_opts);
-    ASSERT_TRUE(engine_on.ok()) << "seed " << seed;
-    for (int pass = 0; pass < 2; ++pass) {
-      ExecContext ctx;
-      ctx.set_parallelism(&pool, 4);
-      ctx.set_parallel_min_rows(2);
-      auto r_on = engine_on->Explain(w.question, &ctx);
-      ASSERT_TRUE(r_on.ok()) << "seed " << seed << " pass " << pass;
-      const AnswerSummary s_on = SummarizeResult(*engine_on, *r_on);
-      EXPECT_TRUE(SameAnswer(s_off, s_on))
-          << "seed " << seed << " pass " << pass
-          << ": cached parallel answer diverged\n  off: " << s_off.ToString()
-          << "\n  on:  " << s_on.ToString();
-      if (pass == 1) {
-        EXPECT_EQ(r_on->subtree_cache_misses, 0u)
-            << "seed " << seed
-            << ": warm parallel pass recomputed a subtree";
-        warm_hits += r_on->subtree_cache_hits;
-      }
-    }
-    ++ran;
-  }
-  EXPECT_GE(ran, (kSweepLast - kSweepFirst + 1) * 9 / 10);
-  EXPECT_GT(warm_hits, 0u) << "no warm parallel pass ever hit the cache";
 }
 
 TEST(Differential, ReproCommandNamesTheSeed) {

@@ -19,7 +19,7 @@
 #include "core/report.h"
 #include "datasets/running_example.h"
 #include "exec/exec_context.h"
-#include "exec/parallel.h"
+#include "datasets/use_cases.h"
 #include "tests/test_util.h"
 
 namespace ned {
@@ -355,117 +355,82 @@ TEST(ExecLimits, FaultInjectionSweepNeverCorrupts) {
   EXPECT_EQ(a.steps(), b.steps());
 }
 
-// ---- fault injection under intra-query parallelism -------------------------
+// ---- row-budget sweep over the paper's use cases ---------------------------
 
-// The deterministic-injection contract must survive parallel evaluation:
-// worker checkpoints never consume injection steps (injection is decided at
-// coordinator fold points, in partition order), so the parallel step space is
-// itself deterministic and every injected point still yields a sound partial
-// answer with the same error surface as serial runs.
-TEST(ExecLimits, ParallelFaultInjectionSweepNeverCorrupts) {
-  Database db;
-  NED_ASSERT_OK_AND_MOVE(db, BuildRunningExampleDb());
-  QueryTree tree;
-  NED_ASSERT_OK_AND_MOVE(tree, BuildRunningExampleTree(db));
-  auto engine = NedExplainEngine::Create(&tree, &db);
-  ASSERT_TRUE(engine.ok());
-  WhyNotQuestion question = RunningExampleQuestion();
-  TaskPool pool(3);
-  auto configure = [&pool](ExecContext* ctx) {
-    ctx->set_parallelism(&pool, 4);
-    ctx->set_parallel_min_rows(2);
-  };
-
-  // Probe the *parallel* step space (fold-point checkpoints make it differ
-  // from the serial one) and the golden answer of a clean parallel run.
-  ExecContext probe;
-  configure(&probe);
-  auto golden = engine->Explain(question, &probe);
-  ASSERT_TRUE(golden.ok());
-  ASSERT_TRUE(golden->completeness.complete);
-  const uint64_t total_steps = probe.steps();
-  ASSERT_GT(total_steps, 0u);
-  std::set<std::string> golden_condensed;
-  for (const OperatorNode* node : golden->answer.condensed) {
-    golden_condensed.insert(node->name);
+/// Condensed answer of `result` by subquery name.
+std::set<std::string> CondensedNames(const NedExplainResult& result) {
+  std::set<std::string> names;
+  for (const OperatorNode* node : result.answer.condensed) {
+    names.insert(node->name);
   }
-
-  for (uint64_t step = 1; step <= total_steps; ++step) {
-    SCOPED_TRACE("parallel run, injected failure at checkpoint " +
-                 std::to_string(step));
-    ExecContext ctx;
-    configure(&ctx);
-    ctx.InjectFailureAt(step);
-    auto result = engine->Explain(question, &ctx);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_FALSE(result->completeness.complete);
-    EXPECT_EQ(result->completeness.tripped, StatusCode::kResourceExhausted);
-    EXPECT_NE(result->completeness.detail.find("injected"), std::string::npos);
-    for (const OperatorNode* node : result->answer.condensed) {
-      ASSERT_NE(node, nullptr);
-      EXPECT_EQ(golden_condensed.count(node->name), 1u)
-          << "partial parallel answer invented subquery " << node->name;
-    }
-    for (const auto& entry : result->answer.detailed) {
-      ASSERT_NE(entry.subquery, nullptr);
-    }
-    // Determinism at partition granularity: the same injection point yields
-    // the same partial answer and the same step count, every time.
-    ExecContext again;
-    configure(&again);
-    again.InjectFailureAt(step);
-    auto replay = engine->Explain(question, &again);
-    ASSERT_TRUE(replay.ok());
-    EXPECT_EQ(replay->answer.detailed.size(), result->answer.detailed.size());
-    EXPECT_EQ(replay->completeness.ToString(),
-              result->completeness.ToString());
-    EXPECT_EQ(again.steps(), ctx.steps());
-  }
+  return names;
 }
 
-// The governed cross-join: a parallel run under the same deadline must also
-// come back quickly with a flagged partial answer, and an *unlimited*
-// parallel run must match the serial answer on a join big enough that every
-// morsel path (scan slices, probe partitions) genuinely engages.
-TEST(ExecLimits, ParallelCrossJoinMatchesSerialAndHonoursDeadline) {
-  Database db = MakeCrossJoinDb(300);  // 90k joined rows
-  QueryTree tree = MustCompile("SELECT R.a FROM R, S WHERE R.a >= 0", db);
-  auto engine = NedExplainEngine::Create(&tree, &db);
+/// Every use case at x1 under row budgets of k/40 of a clean run's charged
+/// rows (k = 1..39). The walk evaluates each subquery just before it
+/// maintains TabQ for it (Alg. 1 line 8), so a budget that trips keeps what
+/// the walk established below the stop point: a partial answer never names
+/// a subquery outside the complete answer.
+TEST(ExecLimits, RowBudgetSweepKeepsPartialAnswersSound) {
+  auto registry = UseCaseRegistry::Build();
+  ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+  ASSERT_EQ(registry->use_cases().size(), 19u);
+  constexpr size_t kSteps = 40;
+  size_t partial_runs = 0;
+  for (const UseCase& uc : registry->use_cases()) {
+    SCOPED_TRACE(uc.name);
+    auto tree = registry->BuildTree(uc);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    auto engine =
+        NedExplainEngine::Create(&*tree, &registry->database(uc.db_name));
+    ASSERT_TRUE(engine.ok());
+    ExecContext probe;
+    auto complete = engine->Explain(uc.question, &probe);
+    ASSERT_TRUE(complete.ok()) << complete.status().ToString();
+    ASSERT_TRUE(complete->completeness.complete);
+    const std::set<std::string> complete_condensed = CondensedNames(*complete);
+    for (size_t k = 1; k < kSteps; ++k) {
+      const size_t budget = probe.rows_charged() * k / kSteps;
+      SCOPED_TRACE("row budget " + std::to_string(budget));
+      ExecContext ctx;
+      ctx.set_row_budget(budget);
+      auto result = engine->Explain(uc.question, &ctx);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      if (result->completeness.complete) continue;
+      ++partial_runs;
+      EXPECT_EQ(result->completeness.tripped, StatusCode::kResourceExhausted);
+      for (const std::string& name : CondensedNames(*result)) {
+        EXPECT_EQ(complete_condensed.count(name), 1u)
+            << "partial answer invented subquery " << name;
+      }
+    }
+  }
+  EXPECT_GT(partial_runs, 0u);
+}
+
+// Imdb1 under a 1,802-row budget: the three scans charge 1,583 rows and
+// m2 (the selection over M) 123 more, so the budget trips when m3 (the
+// selection over R, 132 rows) is evaluated. By then the walk has maintained
+// m2 and found it picky, so the partial answer keeps m2 and names m3 as the
+// stop point.
+TEST(ExecLimits, RowBudgetTripKeepsWhatTheWalkEstablished) {
+  auto registry = UseCaseRegistry::Build();
+  ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+  auto uc = registry->Find("Imdb1");
+  ASSERT_TRUE(uc.ok());
+  auto tree = registry->BuildTree(**uc);
+  ASSERT_TRUE(tree.ok());
+  auto engine =
+      NedExplainEngine::Create(&*tree, &registry->database((*uc)->db_name));
   ASSERT_TRUE(engine.ok());
-  CTuple tc;
-  tc.Add("R.a", Value::Int(-1));
-  WhyNotQuestion question{tc};
-  TaskPool pool(3);
-
-  auto serial = engine->Explain(question);
-  ASSERT_TRUE(serial.ok());
-  const std::string serial_report =
-      RenderExplainReport(*engine, question, *serial);
-
   ExecContext ctx;
-  ctx.set_parallelism(&pool, 4);
-  auto par = engine->Explain(question, &ctx);
-  ASSERT_TRUE(par.ok());
-  ASSERT_TRUE(par->completeness.complete);
-  EXPECT_EQ(RenderExplainReport(*engine, question, *par), serial_report);
-
-  Database big = MakeCrossJoinDb(2000);
-  QueryTree big_tree = MustCompile("SELECT R.a FROM R, S WHERE R.a >= 0", big);
-  auto big_engine = NedExplainEngine::Create(&big_tree, &big);
-  ASSERT_TRUE(big_engine.ok());
-  CTuple hit;
-  hit.Add("R.a", Value::Int(0));
-  ExecContext limited;
-  limited.set_parallelism(&pool, 4);
-  limited.set_deadline_after_ms(50);
-  auto start = std::chrono::steady_clock::now();
-  auto governed = big_engine->Explain(WhyNotQuestion(hit), &limited);
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
-  ASSERT_TRUE(governed.ok()) << governed.status().ToString();
-  EXPECT_FALSE(governed->completeness.complete);
-  EXPECT_EQ(governed->completeness.tripped, StatusCode::kDeadlineExceeded);
-  EXPECT_LT(elapsed.count(), 2000);
+  ctx.set_row_budget(1802);
+  auto result = engine->Explain((*uc)->question, &ctx);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_FALSE(result->completeness.complete);
+  EXPECT_EQ(result->completeness.tripped, StatusCode::kResourceExhausted);
+  EXPECT_EQ(result->completeness.stopped_at, "m3");
+  EXPECT_EQ(CondensedNames(*result), std::set<std::string>{"m2"});
 }
 
 }  // namespace

@@ -4,8 +4,7 @@
 /// server over real loopback sockets -- keep-alive pipelining, ManualClock
 /// -exact idle/slowloris eviction, the 503/504 status mapping with
 /// Retry-After headers, drain-while-connected, and byte-identity of all 19
-/// paper use cases served over the wire against in-process Submit at
-/// intra-query thread counts {1, 2, 4}.
+/// paper use cases served over the wire against in-process Submit.
 ///
 /// Built with -DNED_TSAN=ON these tests double as the ThreadSanitizer audit
 /// of the event loop's completion queue: service workers push resolved
@@ -228,7 +227,6 @@ WhyNotRequest RichRequest() {
   req.row_budget = 99;
   req.memory_budget = 1 << 20;
   req.seed = 42;
-  req.threads = 2;
   req.bypass_answer_cache = true;
   req.collect_trace = true;
   req.engine_options.enable_early_termination = false;
@@ -250,7 +248,6 @@ TEST(WireCodec, RequestRoundTripPreservesEveryField) {
   EXPECT_EQ(parsed->row_budget, req.row_budget);
   EXPECT_EQ(parsed->memory_budget, req.memory_budget);
   EXPECT_EQ(parsed->seed, req.seed);
-  EXPECT_EQ(parsed->threads, req.threads);
   EXPECT_EQ(parsed->bypass_answer_cache, req.bypass_answer_cache);
   EXPECT_EQ(parsed->collect_trace, req.collect_trace);
   EXPECT_EQ(parsed->engine_options.enable_early_termination,
@@ -289,6 +286,13 @@ TEST(WireCodec, UnknownAndMalformedBodiesAreDiagnosed) {
                    "{\"db\": \"d\", \"sql\": \"SELECT R.a FROM R\", "
                    "\"question\": [{\"fields\": [{\"attr\": \"R.a\", "
                    "\"const\": 1}]}], \"bogus\": true}")
+                   .ok());
+  // "threads" (the per-request thread count older clients send) is an
+  // unknown field like any other.
+  EXPECT_FALSE(net::ParseWhyNotRequestJson(
+                   "{\"db\": \"d\", \"sql\": \"SELECT R.a FROM R\", "
+                   "\"question\": [{\"fields\": [{\"attr\": \"R.a\", "
+                   "\"const\": 1}]}], \"threads\": 2}")
                    .ok());
   // Missing required fields.
   EXPECT_FALSE(net::ParseWhyNotRequestJson("{\"db\": \"d\"}").ok());
@@ -799,77 +803,63 @@ std::string AnswerFingerprint(const AnswerSummary& answer) {
   return out;
 }
 
-TEST(Server, All19UseCasesMatchInProcessSubmitAcrossThreadCounts) {
+TEST(Server, All19UseCasesMatchInProcessSubmit) {
   auto registry = UseCaseRegistry::Build(1);
   ASSERT_TRUE(registry.ok()) << registry.status().ToString();
 
-  // threads=1 fingerprints anchor the cross-thread-count identity check.
-  std::vector<std::string> baseline;
-  for (int threads : {1, 2, 4}) {
-    SCOPED_TRACE(StrCat("threads=", threads));
-    // Two identical but independent services: one behind the wire, one
-    // driven in-process. Independence rules out answer-cache crosstalk
-    // making the comparison vacuous.
-    auto make_catalog = [&]() {
-      auto catalog = std::make_shared<Catalog>();
-      for (const char* name : {"crime", "imdb", "gov"}) {
-        Database copy = registry->database(name);
-        NED_CHECK(catalog->Register(name, std::move(copy)).ok());
-      }
-      return catalog;
-    };
-    ServiceOptions service_options;
-    service_options.workers = 2;
-    service_options.threads_per_request = threads;
-    service_options.parallel_min_rows = 1;  // force the partitioned paths
-    WhyNotService wire_service(make_catalog(), service_options);
-    WhyNotService local_service(make_catalog(), service_options);
-    HttpServer server(&wire_service);
-    ASSERT_TRUE(server.Start().ok());
-    TestClient client(server.port());
-    ASSERT_TRUE(client.connected());
-
-    size_t case_index = 0;
-    for (const UseCase& uc : registry->use_cases()) {
-      SCOPED_TRACE(uc.name);
-      WhyNotRequest request;
-      request.key = StrCat("uc-", uc.name);
-      request.db_name = uc.db_name;
-      request.sql = uc.sql;
-      request.question = uc.question;
-      request.deadline_ms = 30'000;
-
-      ASSERT_TRUE(client.Send(PostWhyNot(request)));
-      HttpResponse http = client.Read();
-      ASSERT_EQ(http.status, 200) << http.body;
-      auto wire = net::ParseWhyNotResponseJson(http.body);
-      ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-      ASSERT_EQ(wire->code, StatusCode::kOk) << wire->message;
-      EXPECT_EQ(wire->key, request.key);
-
-      auto local = local_service.Submit(request);
-      ASSERT_TRUE(local.status.ok()) << local.status.ToString();
-      const WhyNotResponse local_response = local.response.get();
-      ASSERT_TRUE(local_response.status.ok())
-          << local_response.status.ToString();
-
-      const std::string wire_print = AnswerFingerprint(wire->answer);
-      EXPECT_EQ(wire_print, AnswerFingerprint(local_response.answer));
-      EXPECT_EQ(wire->snapshot_version, local_response.snapshot_version);
-      if (threads == 1) {
-        baseline.push_back(wire_print);
-      } else {
-        ASSERT_LT(case_index, baseline.size());
-        EXPECT_EQ(wire_print, baseline[case_index])
-            << "answer differs from threads=1";
-      }
-      ++case_index;
+  // Two identical but independent services: one behind the wire, one
+  // driven in-process. Independence rules out answer-cache crosstalk
+  // making the comparison vacuous.
+  auto make_catalog = [&]() {
+    auto catalog = std::make_shared<Catalog>();
+    for (const char* name : {"crime", "imdb", "gov"}) {
+      Database copy = registry->database(name);
+      NED_CHECK(catalog->Register(name, std::move(copy)).ok());
     }
-    EXPECT_EQ(case_index, registry->use_cases().size());
-    server.Stop();
-    wire_service.Shutdown();
-    local_service.Shutdown();
+    return catalog;
+  };
+  ServiceOptions service_options;
+  service_options.workers = 2;
+  WhyNotService wire_service(make_catalog(), service_options);
+  WhyNotService local_service(make_catalog(), service_options);
+  HttpServer server(&wire_service);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  size_t cases = 0;
+  for (const UseCase& uc : registry->use_cases()) {
+    SCOPED_TRACE(uc.name);
+    WhyNotRequest request;
+    request.key = StrCat("uc-", uc.name);
+    request.db_name = uc.db_name;
+    request.sql = uc.sql;
+    request.question = uc.question;
+    request.deadline_ms = 30'000;
+
+    ASSERT_TRUE(client.Send(PostWhyNot(request)));
+    HttpResponse http = client.Read();
+    ASSERT_EQ(http.status, 200) << http.body;
+    auto wire = net::ParseWhyNotResponseJson(http.body);
+    ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+    ASSERT_EQ(wire->code, StatusCode::kOk) << wire->message;
+    EXPECT_EQ(wire->key, request.key);
+
+    auto local = local_service.Submit(request);
+    ASSERT_TRUE(local.status.ok()) << local.status.ToString();
+    const WhyNotResponse local_response = local.response.get();
+    ASSERT_TRUE(local_response.status.ok())
+        << local_response.status.ToString();
+
+    EXPECT_EQ(AnswerFingerprint(wire->answer),
+              AnswerFingerprint(local_response.answer));
+    EXPECT_EQ(wire->snapshot_version, local_response.snapshot_version);
+    ++cases;
   }
+  EXPECT_EQ(cases, registry->use_cases().size());
+  server.Stop();
+  wire_service.Shutdown();
+  local_service.Shutdown();
 }
 
 }  // namespace

@@ -94,7 +94,6 @@ WhyNotRequest FullRequest() {
   req.row_budget = 99;
   req.memory_budget = 1u << 20;
   req.seed = 0xDEADBEEFCAFEull;
-  req.threads = 3;
   req.inject_fault_at_step = 17;
   req.inject_transient_failures = 2;
   req.bypass_answer_cache = true;
@@ -129,25 +128,35 @@ std::string EncodedSummary(const AnswerSummary& summary) {
 TEST(Wire, RequestRoundTripsEveryField) {
   const WhyNotRequest req = FullRequest();
   const std::string payload = EncodeRequest(req);
-  WhyNotRequest out;
-  NED_EXPECT_OK(DecodeRequest(payload, &out));
-  EXPECT_EQ(out.key, req.key);
-  EXPECT_EQ(out.db_name, req.db_name);
-  EXPECT_EQ(out.sql, req.sql);
-  EXPECT_EQ(out.question.ToString(), req.question.ToString());
-  EXPECT_EQ(out.priority, req.priority);
-  EXPECT_EQ(out.client_id, req.client_id);
-  EXPECT_EQ(out.deadline_ms, req.deadline_ms);
-  EXPECT_EQ(out.row_budget, req.row_budget);
-  EXPECT_EQ(out.memory_budget, req.memory_budget);
-  EXPECT_EQ(out.seed, req.seed);
-  EXPECT_EQ(out.threads, req.threads);
-  EXPECT_EQ(out.inject_fault_at_step, req.inject_fault_at_step);
-  EXPECT_EQ(out.inject_transient_failures, req.inject_transient_failures);
-  EXPECT_EQ(out.bypass_answer_cache, req.bypass_answer_cache);
-  // Re-encoding the decoded request is byte-identical: doubles travel as
-  // raw bits, not through print/parse.
-  EXPECT_EQ(EncodeRequest(out), payload);
+  // The same record as journals that still carried a per-request thread
+  // count wrote it: the reserved i64 slot, which sits just before the
+  // trailing inject_fault_at_step (u64), inject_transient_failures (i64)
+  // and flags (u8), holds 2 (little-endian).
+  std::string legacy = payload;
+  const size_t reserved_slot = legacy.size() - (8 + 8 + 8 + 1);
+  ASSERT_EQ(legacy.substr(reserved_slot, 8), std::string(8, '\0'));
+  legacy[reserved_slot] = 2;
+  for (const std::string& bytes : {payload, legacy}) {
+    WhyNotRequest out;
+    NED_EXPECT_OK(DecodeRequest(bytes, &out));
+    EXPECT_EQ(out.key, req.key);
+    EXPECT_EQ(out.db_name, req.db_name);
+    EXPECT_EQ(out.sql, req.sql);
+    EXPECT_EQ(out.question.ToString(), req.question.ToString());
+    EXPECT_EQ(out.priority, req.priority);
+    EXPECT_EQ(out.client_id, req.client_id);
+    EXPECT_EQ(out.deadline_ms, req.deadline_ms);
+    EXPECT_EQ(out.row_budget, req.row_budget);
+    EXPECT_EQ(out.memory_budget, req.memory_budget);
+    EXPECT_EQ(out.seed, req.seed);
+    EXPECT_EQ(out.inject_fault_at_step, req.inject_fault_at_step);
+    EXPECT_EQ(out.inject_transient_failures, req.inject_transient_failures);
+    EXPECT_EQ(out.bypass_answer_cache, req.bypass_answer_cache);
+    // Re-encoding the decoded request gives the current bytes: doubles
+    // travel as raw bits, not through print/parse, and the reserved slot
+    // is written as 0.
+    EXPECT_EQ(EncodeRequest(out), payload);
+  }
 }
 
 TEST(Wire, EveryTruncatedRequestPrefixFailsCleanly) {

@@ -130,94 +130,6 @@ TEST(Service, ServesASimpleRequest) {
   EXPECT_EQ(service.stats().completed, 1u);
 }
 
-// ---- intra-query parallelism through the service ---------------------------
-
-TEST(Service, ParallelRequestsMatchSerialAndStayWithinThePoolBound) {
-  // Reference answer from a plain serial service.
-  ServiceOptions serial_opts;
-  serial_opts.workers = 2;
-  WhyNotService serial_service(MakeCatalog(), serial_opts);
-  EXPECT_EQ(serial_service.parallel_pool_size(), 0);
-  auto s = serial_service.Submit(TinyRequest("ref"));
-  ASSERT_TRUE(s.status.ok());
-  WhyNotResponse serial_resp = s.response.get();
-  ASSERT_TRUE(serial_resp.status.ok());
-  serial_service.Shutdown();
-
-  ServiceOptions options;
-  options.workers = 2;
-  options.threads_per_request = 2;
-  options.parallel_min_rows = 2;  // tiny db must still partition
-  WhyNotService service(MakeCatalog(), options);
-  // Pool defaults to workers * (threads_per_request - 1) extra threads.
-  EXPECT_EQ(service.parallel_pool_size(), 2);
-
-  // Default request: runs with the service's threads_per_request, same answer.
-  auto p = service.Submit(TinyRequest("par"));
-  ASSERT_TRUE(p.status.ok());
-  WhyNotResponse par_resp = p.response.get();
-  ASSERT_TRUE(par_resp.status.ok());
-  EXPECT_TRUE(par_resp.answer.complete);
-  EXPECT_EQ(par_resp.answer.ToString(), serial_resp.answer.ToString());
-
-  // Per-request opt-out: threads = 1 forces serial evaluation, same answer.
-  WhyNotRequest opt_out = TinyRequest("forced-serial");
-  opt_out.threads = 1;
-  auto f = service.Submit(opt_out);
-  ASSERT_TRUE(f.status.ok());
-  WhyNotResponse serial_forced = f.response.get();
-  ASSERT_TRUE(serial_forced.status.ok());
-  EXPECT_EQ(serial_forced.answer.ToString(), serial_resp.answer.ToString());
-
-  // A greedy request cannot exceed the service bound: threads clamp to
-  // threads_per_request, and the shared pool's high-watermark proves no
-  // request ever drew more concurrency than configured.
-  WhyNotRequest greedy = TinyRequest("greedy");
-  greedy.threads = 64;
-  auto g = service.Submit(greedy);
-  ASSERT_TRUE(g.status.ok());
-  WhyNotResponse greedy_resp = g.response.get();
-  ASSERT_TRUE(greedy_resp.status.ok());
-  EXPECT_EQ(greedy_resp.answer.ToString(), serial_resp.answer.ToString());
-
-  service.Shutdown();
-  EXPECT_LE(service.parallel_peak_active(),
-            static_cast<size_t>(service.parallel_pool_size()));
-  EXPECT_GE(service.stats().completed, 1u);
-}
-
-TEST(Service, MixedSerialAndParallelClientsAgreeUnderConcurrency) {
-  ServiceOptions options;
-  options.workers = 3;
-  options.threads_per_request = 2;
-  options.parallel_min_rows = 2;
-  WhyNotService service(MakeCatalog(), options);
-
-  constexpr int kRequests = 24;
-  std::vector<WhyNotService::Submission> subs;
-  subs.reserve(kRequests);
-  for (int i = 0; i < kRequests; ++i) {
-    WhyNotRequest req = TinyRequest(StrCat("mix", i));
-    req.threads = (i % 2 == 0) ? 1 : 0;  // alternate serial / parallel
-    subs.push_back(service.Submit(req));
-    ASSERT_TRUE(subs.back().status.ok()) << i;
-  }
-  std::string expected;
-  for (int i = 0; i < kRequests; ++i) {
-    WhyNotResponse resp = subs[i].response.get();
-    ASSERT_TRUE(resp.status.ok()) << i << ": " << resp.status.ToString();
-    EXPECT_TRUE(resp.answer.complete) << i;
-    if (expected.empty()) {
-      expected = resp.answer.ToString();
-    } else {
-      EXPECT_EQ(resp.answer.ToString(), expected) << i;
-    }
-  }
-  service.Shutdown();
-  EXPECT_LE(service.parallel_peak_active(),
-            static_cast<size_t>(service.parallel_pool_size()));
-}
-
 TEST(Service, BadSqlAndUnknownDbAreContainedPerRequest) {
   WhyNotService service(MakeCatalog(), {});
   // Unknown database: permanent rejection at admission.

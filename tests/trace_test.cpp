@@ -1,18 +1,19 @@
 /// \file trace_test.cpp
 /// \brief Trace semantics (ManualClock-exact durations, LIFO auto-close,
-/// PhaseNanos) and the thread-count determinism guarantee: the span tree of
-/// every golden use case is byte-identical at threads {1, 2, 4} vs serial.
+/// PhaseNanos) and the engine's span structure: the span tree of every
+/// golden use case is pinned by digest.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/timer.h"
 #include "core/nedexplain.h"
 #include "datasets/use_cases.h"
 #include "exec/exec_context.h"
-#include "exec/parallel.h"
 #include "obs/trace.h"
 
 namespace ned {
@@ -161,36 +162,41 @@ TEST(EngineTrace, EmitsTheFigFivePhases) {
       << structure;
 }
 
-// The tentpole determinism guarantee: spans are emitted only from
-// coordinator paths, so the span tree never depends on the thread count --
-// for all 19 golden use cases, at threads {1, 2, 4}, parallel evaluation
-// renders the byte-identical structure serial evaluation does.
-TEST(EngineTrace, SpanTreeIsThreadCountInvariantForAllUseCases) {
-  ASSERT_EQ(Registry().use_cases().size(), 19u);
-  TaskPool pool(3);
-  for (const UseCase& uc : Registry().use_cases()) {
-    ExecContext serial_ctx;
-    const std::string serial = TraceStructureFor(uc, &serial_ctx);
-    ASSERT_FALSE(serial.empty()) << uc.name;
-    for (int threads : {1, 2, 4}) {
-      ExecContext ctx;
-      ctx.set_parallelism(&pool, threads);
-      ctx.set_parallel_min_rows(4);
-      EXPECT_EQ(TraceStructureFor(uc, &ctx), serial)
-          << uc.name << ": span tree changed at threads=" << threads;
-    }
-  }
-  EXPECT_LE(pool.peak_active(), static_cast<size_t>(pool.thread_count()));
+/// FNV-1a digests of RenderStructure() for every use case at x1: the span
+/// names and nesting of a complete Explain, which depend only on the query,
+/// the question and the data. Any change to where the engine opens or
+/// closes a span moves a digest; on an intentional change, the failure
+/// message prints the new value.
+const std::map<std::string, uint64_t>& StructureDigests() {
+  static const auto* digests = new std::map<std::string, uint64_t>{
+      {"Crime1", 0xf48371ed9bd98cull},    {"Crime2", 0xf48371ed9bd98cull},
+      {"Crime3", 0x36e1c93d47f779b2ull},  {"Crime4", 0x424b4b8611721f6ull},
+      {"Crime5", 0x424b4b8611721f6ull},   {"Crime6", 0xaa87a207ffb99254ull},
+      {"Crime7", 0x32e47a132ea11434ull},  {"Crime8", 0x9bdf6cff99a4b29cull},
+      {"Crime9", 0xf94ac447ed7525f6ull},  {"Crime10", 0x3a49287e307c60c5ull},
+      {"Imdb1", 0x9cc974b86c87e404ull},   {"Imdb2", 0x9f82a70c2f8ac6c4ull},
+      {"Gov1", 0x3b9b9e43cbba83bfull},    {"Gov2", 0x3b9b9e43cbba83bfull},
+      {"Gov3", 0x6da8b65a3f0e9d43ull},    {"Gov4", 0x2987b90f64e24efeull},
+      {"Gov5", 0x2987b90f64e24efeull},    {"Gov6", 0xe97d6507a620754eull},
+      {"Gov7", 0x5f7b0c342d7cdde3ull},
+  };
+  return *digests;
 }
 
-TEST(EngineTrace, WorkerShardsNeverInheritTheTrace) {
-  ExecContext ctx;
-  Trace trace;
-  ctx.set_trace(&trace);
-  ExecContext shard;
-  ctx.BeginWorkerShard(&shard);
-  EXPECT_EQ(shard.trace(), nullptr);
-  EXPECT_EQ(ctx.trace(), &trace);
+TEST(EngineTrace, SpanStructureMatchesPinnedDigests) {
+  ASSERT_EQ(Registry().use_cases().size(), 19u);
+  for (const UseCase& uc : Registry().use_cases()) {
+    ExecContext ctx;
+    const std::string structure = TraceStructureFor(uc, &ctx);
+    ASSERT_FALSE(structure.empty()) << uc.name;
+    const uint64_t digest = Fnv1a64(structure);
+    auto it = StructureDigests().find(uc.name);
+    ASSERT_NE(it, StructureDigests().end()) << uc.name << " has no digest";
+    EXPECT_EQ(it->second, digest)
+        << uc.name << " span structure drifted; new digest {\"" << uc.name
+        << "\", 0x" << std::hex << digest << "ull}\n"
+        << structure;
+  }
 }
 
 TEST(EngineTrace, NoTraceAttachedEmitsNothing) {

@@ -20,8 +20,6 @@
 #include "core/nedexplain.h"
 #include "core/report.h"
 #include "datasets/crime.h"
-#include "exec/exec_context.h"
-#include "exec/parallel.h"
 #include "datasets/gov.h"
 #include "datasets/imdb.h"
 #include "datasets/use_cases.h"
@@ -179,40 +177,6 @@ TEST(Golden, AllUseCasesMatchCheckedInSnapshots) {
         << "\n(if the change is intentional, rerun with --update-golden "
            "and review the file diff)";
   }
-}
-
-// The same 19 snapshots must be byte-identical at every thread count: the
-// golden files pin serial output, so this transitively proves intra-query
-// parallelism never changes a published answer (see docs/PARALLELISM.md).
-TEST(Golden, AllUseCasesAreThreadCountInvariant) {
-  ASSERT_EQ(Registry().use_cases().size(), 19u);
-  TaskPool pool(3);
-  for (const UseCase& uc : Registry().use_cases()) {
-    auto tree = Registry().BuildTree(uc);
-    ASSERT_TRUE(tree.ok()) << uc.name;
-    const Database& db = Registry().database(uc.db_name);
-    auto engine = NedExplainEngine::Create(&*tree, &db);
-    ASSERT_TRUE(engine.ok()) << uc.name;
-
-    auto serial = engine->Explain(uc.question);
-    ASSERT_TRUE(serial.ok()) << uc.name;
-    const std::string serial_report =
-        RenderExplainReport(*engine, uc.question, *serial);
-
-    for (int threads : {1, 2, 4}) {
-      ExecContext ctx;
-      ctx.set_parallelism(&pool, threads);
-      ctx.set_parallel_min_rows(4);
-      auto par = engine->Explain(uc.question, &ctx);
-      ASSERT_TRUE(par.ok()) << uc.name << " threads=" << threads;
-      EXPECT_TRUE(par->completeness.complete)
-          << uc.name << " threads=" << threads;
-      EXPECT_EQ(RenderExplainReport(*engine, uc.question, *par),
-                serial_report)
-          << uc.name << ": report changed at threads=" << threads;
-    }
-  }
-  EXPECT_LE(pool.peak_active(), static_cast<size_t>(pool.thread_count()));
 }
 
 // ---- scaled answers -------------------------------------------------------

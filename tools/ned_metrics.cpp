@@ -16,7 +16,7 @@
 ///   ned_metrics --trace CASE|all [--structure]
 ///
 /// `--structure` renders names and nesting only (no durations): the
-/// byte-identity artifact the serial-vs-parallel determinism tests compare.
+/// deterministic artifact trace_test pins by digest for the 19 use cases.
 
 #include <iostream>
 #include <memory>

@@ -43,7 +43,6 @@ struct Args {
   int port = 8080;
   int workers = 4;
   size_t queue = 64;
-  int threads_per_request = 1;
   int scale = 1;
   size_t max_connections = 256;
   int64_t idle_timeout_ms = 30'000;
@@ -61,7 +60,6 @@ void Usage() {
          "  --port N                listen port; 0 = ephemeral (default 8080)\n"
          "  --workers N             service worker pool size (default 4)\n"
          "  --queue N               admission queue capacity (default 64)\n"
-         "  --threads N             intra-query threads per request (default 1)\n"
          "  --scale N               dataset scale factor (default 1)\n"
          "  --max-connections N     open-connection cap (default 256)\n"
          "  --idle-timeout-ms N     keep-alive idle eviction (default 30000)\n"
@@ -87,8 +85,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->workers = std::atoi(v);
     } else if (arg == "--queue" && (v = next())) {
       args->queue = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--threads" && (v = next())) {
-      args->threads_per_request = std::atoi(v);
     } else if (arg == "--scale" && (v = next())) {
       args->scale = std::atoi(v);
     } else if (arg == "--max-connections" && (v = next())) {
@@ -135,7 +131,6 @@ int main(int argc, char** argv) {
   ServiceOptions service_options;
   service_options.workers = args.workers;
   service_options.queue_capacity = args.queue;
-  service_options.threads_per_request = args.threads_per_request;
   service_options.default_deadline_ms = args.default_deadline_ms;
   service_options.persist_dir = args.persist_dir;
   WhyNotService service(catalog, service_options);

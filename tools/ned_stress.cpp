@@ -113,11 +113,6 @@ struct Args {
   // Deliberately smaller than the default client count: clients block on
   // their own requests, so sheds only happen when workers + queue < clients.
   size_t queue = 3;
-  // Intra-query parallelism under chaos: the service default for requests
-  // that opt in. Clients alternate serial / parallel (even client ids force
-  // threads=1), so both evaluation modes run concurrently against the same
-  // pool -- and the peak-active invariant proves the global bound held.
-  int threads_per_request = 2;
   std::string inject = "all";  // all | none | engine | service
   uint64_t seed = 1;
   int scale = 1;
@@ -190,8 +185,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->workers = static_cast<int>(v);
     } else if (arg == "--queue" && next(&v)) {
       args->queue = static_cast<size_t>(v);
-    } else if (arg == "--threads-per-request" && next(&v)) {
-      args->threads_per_request = static_cast<int>(v);
     } else if (arg == "--seed" && next(&v)) {
       args->seed = static_cast<uint64_t>(v);
     } else if (arg == "--scale" && next(&v)) {
@@ -216,7 +209,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else {
       std::cerr << "unknown argument: " << arg << "\n"
                 << "usage: ned_stress [--clients N] [--seconds S] "
-                   "[--workers W] [--queue Q] [--threads-per-request T] "
+                   "[--workers W] [--queue Q] "
                    "[--inject all|none|engine|service] [--seed S] "
                    "[--scale K] [--persist DIR] [--crash-after-ms N] "
                    "[--metrics-out FILE] [--smoke]\n";
@@ -269,11 +262,6 @@ void ClientLoop(int client_id, const Args& args, WhyNotService* service,
     req.priority = priority;
     req.client_id = fair_share_id;
     req.seed = ned::MixSeed(args.seed, ned::HashSeed(req.key));
-    // Mixed serial/parallel traffic: even clients force serial evaluation,
-    // odd clients take the service's threads_per_request default. Answers
-    // are bit-identical either way (differential_test proves it), so the
-    // exactly-once and soundness invariants below hold across the mix.
-    req.threads = (client_id % 2 == 0) ? 1 : 0;
     // Per-class deadline regimes. Interactive mixes in deadlines tight
     // enough that only a flagged partial (or a queue expiry) can come back
     // in time; weaker classes expect to wait out the priority queue.
@@ -564,10 +552,6 @@ int Run(const Args& args) {
   options.brownout.enabled = true;
   options.breaker.failure_threshold = 3;
   options.breaker.probe_interval_ms = 100;
-  // Intra-query parallelism under the same chaos: a low activation
-  // threshold so the generated workloads (often < 64 rows) partition too.
-  options.threads_per_request = args.threads_per_request;
-  options.parallel_min_rows = 8;
   if (!args.persist_dir.empty()) options.persist_dir = args.persist_dir;
   WhyNotService service(catalog, options);
   if (service.persistence_enabled()) {
@@ -718,8 +702,6 @@ int Run(const Args& args) {
             << " partial_not_cached=" << stats.partial_not_cached
             << " served=" << total.cache_served
             << " client_bypassed=" << total.cache_bypassed << "\n"
-            << "parallel pool     : size=" << service.parallel_pool_size()
-            << " peak_active=" << service.parallel_peak_active() << "\n"
             << "subtree cache     : hits=" << service.subtree_cache_stats().hits
             << " misses=" << service.subtree_cache_stats().misses
             << " entries=" << service.subtree_cache_stats().entries
@@ -885,19 +867,6 @@ int Run(const Args& args) {
                      " poison finals (opens=", breaker.opens,
                      ", fast_fails=", poison.fast_fails, ")"));
   }
-  // Bounded intra-query parallelism: however many requests fanned out
-  // concurrently, the shared pool's high-watermark of simultaneously
-  // running intra-query workers never exceeded its configured size.
-  if (service.parallel_peak_active() >
-      static_cast<uint64_t>(service.parallel_pool_size())) {
-    fail(ned::StrCat("intra-query workers peaked at ",
-                     service.parallel_peak_active(),
-                     " above the pool bound ",
-                     service.parallel_pool_size()));
-  }
-  if (args.threads_per_request > 1 && service.parallel_pool_size() == 0) {
-    fail("threads_per_request > 1 but the service built no parallel pool");
-  }
   // Clients never trip breakers (their cases compile; transients and
   // resource limits are not breaker failures), so the service's fast-fail
   // count must reconcile exactly with what the poison injector saw.
@@ -910,8 +879,7 @@ int Run(const Args& args) {
   if (failures == 0) {
     std::cout << "ned_stress: PASS (zero crashes, exactly-once responses, "
                  "all retries converged, p99 bounded, no starvation, "
-                 "degradation honest, poison breaker-bounded, intra-query "
-                 "parallelism within the pool bound)\n";
+                 "degradation honest, poison breaker-bounded)\n";
     return 0;
   }
   std::cerr << "ned_stress: FAIL (" << failures << " violations)\n";
