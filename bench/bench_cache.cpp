@@ -10,9 +10,9 @@
 ///   warm -- a primed, shared SubtreeCache: every non-leaf subtree replays
 ///           (the repeated-question fast path at the engine layer).
 /// Plus the service-level repeated-question path:
-///   answer -- Submit-time replay from the content-addressed AnswerCache
+///   answer -- Submit-time replay from the answer tier's memory half
 ///             (no admission, no execution), end-to-end vs. an executing
-///             submit with the answer cache bypassed.
+///             submit with the tier bypassed.
 ///
 /// Emits BENCH_cache.json with per-case medians and aggregate medians; the
 /// acceptance targets are >= 5x warm median speedup on repeated questions

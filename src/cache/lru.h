@@ -1,17 +1,18 @@
 /// \file lru.h
 /// \brief Byte-budgeted LRU map, the shared eviction engine of src/cache/.
 ///
-/// Both caches of this PR (SubtreeCache over materialized evaluator outputs,
-/// AnswerCache over complete AnswerSummary results) are bounded by *bytes*,
-/// not entry counts, because their values vary by orders of magnitude (a
-/// two-row select output vs a 90k-row cross join). Keys are full canonical
+/// Both users (SubtreeCache over materialized evaluator outputs, and the
+/// answer tier's memory half over complete AnswerSummary results,
+/// persist/answer_store.h) are bounded by *bytes*, not entry counts, because
+/// their values vary by orders of magnitude (a two-row select output vs a
+/// 90k-row cross join). Keys are full canonical
 /// strings rather than 64-bit digests, so equal keys imply equal cached
 /// content by construction -- no hash-collision audit needed -- and key bytes
 /// are charged against the budget alongside value bytes.
 ///
-/// The container itself is single-threaded; SubtreeCache / AnswerCache wrap
-/// it with their own mutex (one lock per cache, audited under TSan by the
-/// cache-enabled CI configuration).
+/// The container itself is single-threaded; SubtreeCache and the answer
+/// tier wrap it with their own mutex (one lock per cache, audited under
+/// TSan by the cache-enabled CI configuration).
 
 #ifndef NED_CACHE_LRU_H_
 #define NED_CACHE_LRU_H_

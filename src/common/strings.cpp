@@ -29,6 +29,38 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+std::string NormalizeSqlText(std::string_view sql) {
+  std::string out;
+  out.reserve(sql.size());
+  bool in_string = false;
+  bool pending_space = false;
+  for (char c : sql) {
+    if (in_string) {
+      out += c;
+      if (c == '\'') in_string = false;
+      continue;
+    }
+    if (c == '\'') {
+      if (pending_space && !out.empty()) out += ' ';
+      pending_space = false;
+      out += c;
+      in_string = true;
+      continue;
+    }
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      pending_space = true;
+      continue;
+    }
+    if (pending_space && !out.empty()) out += ' ';
+    pending_space = false;
+    out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  while (!out.empty() && (out.back() == ';' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return out;
+}
+
 std::string Trim(std::string_view s) {
   size_t b = 0, e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;

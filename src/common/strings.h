@@ -32,6 +32,30 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
+/// Whitespace-collapsed, case-folded (outside single-quoted string literals)
+/// SQL text, with trailing semicolons dropped. Two spellings of one query --
+/// "SELECT  R.v FROM R" vs "select r.v from r" -- normalize identically;
+/// string literals keep their exact bytes and case.
+std::string NormalizeSqlText(std::string_view sql);
+
+/// SQL text that has been through NormalizeSqlText. The content keys
+/// (MakeBreakerKey, MakeDurableAnswerKey) take this type, so one
+/// normalization serves every key a request needs; the implicit
+/// conversions normalize raw text on the way in.
+class NormalizedSql {
+ public:
+  NormalizedSql() = default;
+  NormalizedSql(const std::string& sql)  // NOLINT(runtime/explicit)
+      : text_(NormalizeSqlText(sql)) {}
+  NormalizedSql(const char* sql)  // NOLINT(runtime/explicit)
+      : text_(NormalizeSqlText(sql)) {}
+
+  const std::string& text() const { return text_; }
+
+ private:
+  std::string text_;
+};
+
 /// Variadic streaming concatenation, e.g. StrCat("m", 3, " picky").
 template <typename... Args>
 std::string StrCat(const Args&... args) {

@@ -214,7 +214,10 @@ Result<NedExplainResult> NedExplainEngine::Explain(
     if (!built.ok()) {
       if (!IsResourceLimit(built.status())) return built.status();
       // The budget tripped while materialising the input instance: nothing
-      // was computed, but the degradation is reported, not thrown.
+      // was computed, but the degradation is reported, not thrown. The
+      // renderers read last_input(), which is this run's (empty) input --
+      // never null, never the previous call's.
+      last_input_ = std::make_shared<QueryInput>();
       result.completeness.ctuples_total = question.ctuples().size();
       mark_partial(built.status());
       return result;

@@ -147,7 +147,8 @@ class NedExplainEngine {
   }
 
   /// The most recent Explain call's input instance (valid until the next
-  /// Explain call); used to render answers.
+  /// Explain call); used to render answers. Empty (no aliases, no tuples)
+  /// when a limit tripped while the input was being built.
   const QueryInput& last_input() const { return *last_input_; }
 
  private:

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "cache/answer_cache.h"
 #include "common/atomic_file.h"
 #include "common/csv.h"
 #include "common/hash.h"
@@ -23,6 +22,19 @@ constexpr char kManifestHeader[] = "NEDSTORE-MANIFEST v1";
 
 Status CrashStatus(const char* where) {
   return Status::Unavailable(std::string("crash injected: ") + where);
+}
+
+size_t ApproxStringsBytes(const std::vector<std::string>& v) {
+  size_t bytes = sizeof(v) + v.size() * sizeof(std::string);
+  for (const std::string& s : v) bytes += s.size();
+  return bytes;
+}
+
+/// What the memory half charges for one answer.
+size_t ApproxAnswerBytes(const AnswerSummary& a) {
+  return sizeof(AnswerSummary) + ApproxStringsBytes(a.detailed) +
+         ApproxStringsBytes(a.condensed) + ApproxStringsBytes(a.secondary) +
+         a.completeness.size() + a.degradation.size();
 }
 
 std::string HexU64(uint64_t v) {
@@ -61,13 +73,13 @@ Status WriteFileWithCrash(const std::string& path, const std::string& content,
 
 std::string MakeDurableAnswerKey(const std::string& db_name,
                                  uint64_t content_fingerprint,
-                                 const std::string& sql,
+                                 const NormalizedSql& sql,
                                  const std::string& question_text,
                                  size_t row_budget, size_t memory_budget,
                                  uint64_t option_bits) {
-  // Mirrors MakeAnswerCacheKey but replaces the process-local snapshot
-  // version with the restart-stable content fingerprint.
-  const std::string norm = NormalizeSqlText(sql);
+  // Every variable-length field is length-prefixed, so no crafted SQL or
+  // question text can alias another key.
+  const std::string& norm = sql.text();
   return StrCat("db=", db_name.size(), ":", db_name, "|fp=",
                 HexU64(content_fingerprint), "|q=", norm.size(), ":", norm,
                 "|w=", question_text.size(), ":", question_text, "|rb=",
@@ -75,7 +87,7 @@ std::string MakeDurableAnswerKey(const std::string& db_name,
 }
 
 AnswerStore::AnswerStore(const AnswerStoreOptions& options)
-    : options_(options) {}
+    : options_(options), memory_(options.memory_bytes) {}
 
 std::string AnswerStore::EntryFileName(const std::string& key) {
   return HexU64(Fnv1a64(key)) + ".ans";
@@ -87,8 +99,9 @@ std::string AnswerStore::EntryPath(const std::string& key) const {
 
 Result<std::unique_ptr<AnswerStore>> AnswerStore::Open(
     const AnswerStoreOptions& options) {
-  NED_RETURN_NOT_OK(EnsureDir(options.dir + "/entries"));
   std::unique_ptr<AnswerStore> store(new AnswerStore(options));
+  if (!store->durable()) return store;
+  NED_RETURN_NOT_OK(EnsureDir(options.dir + "/entries"));
 
   const std::string entries_dir = options.dir + "/entries";
   DIR* d = ::opendir(entries_dir.c_str());
@@ -138,6 +151,38 @@ Result<std::unique_ptr<AnswerStore>> AnswerStore::Open(
     if (have_db) store->manifest_[current.db_name] = current;
   }
   return store;
+}
+
+AnswerStore::Ptr AnswerStore::Get(const std::string& key, obs::Trace* trace,
+                                  bool* from_disk) {
+  *from_disk = false;
+  if (has_memory()) {
+    std::lock_guard<std::mutex> lock(memory_mu_);
+    if (auto hit = memory_.Get(key)) return *hit;
+  }
+  if (!durable()) return nullptr;
+  auto stored = [&] {
+    obs::SpanScope span(trace, "store_lookup");
+    return Lookup(key);
+  }();
+  if (!stored.ok()) return nullptr;
+  auto answer = std::make_shared<const AnswerSummary>(std::move(*stored));
+  Remember(key, answer);
+  *from_disk = true;
+  return answer;
+}
+
+void AnswerStore::Remember(const std::string& key, Ptr answer) {
+  if (!has_memory()) return;
+  const size_t bytes = ApproxAnswerBytes(*answer);
+  std::lock_guard<std::mutex> lock(memory_mu_);
+  memory_.Put(key, std::move(answer), bytes);
+}
+
+LruStats AnswerStore::memory_stats() const {
+  if (!has_memory()) return LruStats{};
+  std::lock_guard<std::mutex> lock(memory_mu_);
+  return memory_.stats();
 }
 
 Result<AnswerSummary> AnswerStore::Lookup(const std::string& key) {
@@ -208,11 +253,13 @@ bool AnswerStore::Contains(const std::string& key) const {
   return entry_files_.count(EntryFileName(key)) > 0;
 }
 
-Status AnswerStore::Put(const std::string& key, const AnswerSummary& summary,
+Status AnswerStore::Put(const std::string& key, Ptr answer,
                         const StoreManifestEntry& manifest) {
+  Remember(key, answer);
+  if (!durable()) return Status::OK();
   std::string payload;
   wire::PutStr(&payload, key);
-  EncodeAnswerSummary(summary, &payload);
+  EncodeAnswerSummary(*answer, &payload);
   std::string content(kEntryMagic, sizeof(kEntryMagic));
   wire::PutU32(&content, Crc32(payload));
   content += payload;

@@ -1,27 +1,32 @@
 /// \file answer_store.h
-/// \brief Durable, content-addressed store of completed why-not answers.
+/// \brief The answer tier: complete why-not answers by content key, a
+/// byte-budget memory LRU in front of an optional durable directory.
 ///
-/// The persistent sibling of the in-memory AnswerCache (src/cache/): only
-/// COMPLETE answers computed at full fidelity are ever stored -- never
-/// partial (tripped) results, never brownout-degraded ones -- so a store
-/// hit is always byte-identical to an uninterrupted recomputation.
+/// A NedExplain answer depends only on the query, the why-not question and
+/// the input instance (Defs. 2.12-2.14), so the tier keys answers by
+/// content: MakeDurableAnswerKey embeds DatabaseContentFingerprint, the
+/// normalized SQL, the question text, the resolved budgets and the engine
+/// option bits. A reload that changed the data stops producing the old
+/// keys (stale entries age out of the LRU); a reload that restored already
+/// answered content hits again; and the key is stable across restarts, so
+/// the disk half serves answers computed by an earlier process.
 ///
-/// Keys must survive restarts, so they cannot embed catalog snapshot
-/// versions (which reset to 1 every run). MakeDurableAnswerKey instead
-/// embeds DatabaseContentFingerprint: a reloaded-but-identical database
-/// still hits; any content change misses by construction. The rest of the
-/// key mirrors MakeAnswerCacheKey (normalized SQL, question text, budgets,
-/// engine option bits).
+/// Only COMPLETE answers computed at full fidelity are ever put -- never
+/// partial (tripped) results, never brownout-degraded ones -- so a hit is
+/// always byte-identical to an uninterrupted recomputation.
 ///
-/// Layout: `<dir>/entries/<fnv64-hex>.ans`, each entry a CRC-framed file
-/// carrying its full key (hash collisions detected by key comparison, not
-/// trusted to the file name) and the encoded AnswerSummary. Entries are
-/// written via temp-file + atomic rename, so a crash at any instant leaves
-/// either no entry or a complete entry; a torn or bit-flipped entry fails
-/// its CRC on read and is deleted, reported as a miss. `<dir>/MANIFEST`
-/// (rewritten atomically after each put) pins, for every database that
-/// contributed answers, its content fingerprint and per-relation
-/// data_versions -- provenance for operators inspecting the store.
+/// The memory half (`memory_bytes`, cache/lru.h) holds shared immutable
+/// summaries; Get hands out the tier's own pointer, and a disk hit is
+/// promoted into memory. The disk half (`dir`) is optional. Layout:
+/// `<dir>/entries/<fnv64-hex>.ans`, each entry a CRC-framed file carrying
+/// its full key (hash collisions detected by key comparison, not trusted to
+/// the file name) and the encoded AnswerSummary. Entries are written via
+/// temp-file + atomic rename, so a crash at any instant leaves either no
+/// entry or a complete entry; a torn or bit-flipped entry fails its CRC on
+/// read and is deleted, reported as a miss. `<dir>/MANIFEST` (rewritten
+/// atomically after each put) pins, for every database that contributed
+/// answers, its content fingerprint and per-relation data_versions --
+/// provenance for operators inspecting the store.
 
 #ifndef NED_PERSIST_ANSWER_STORE_H_
 #define NED_PERSIST_ANSWER_STORE_H_
@@ -34,22 +39,31 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/lru.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "core/report.h"
+#include "obs/trace.h"
 #include "persist/crash_point.h"
 
 namespace ned {
 
-/// Restart-stable key for a durable answer. `option_bits` is the service's
-/// EngineOptionBits encoding; `question_text` is WhyNotQuestion::ToString().
+/// The tier's content key, stable across restarts. `question_text` is
+/// WhyNotQuestion::ToString(); `option_bits` packs the engine options that
+/// change the answer. Budgets are the *resolved* per-request values --
+/// requests in different budget classes never share an entry, because a
+/// larger budget can turn a partial answer into a complete one.
 std::string MakeDurableAnswerKey(const std::string& db_name,
                                  uint64_t content_fingerprint,
-                                 const std::string& sql,
+                                 const NormalizedSql& sql,
                                  const std::string& question_text,
                                  size_t row_budget, size_t memory_budget,
                                  uint64_t option_bits);
 
 struct AnswerStoreOptions {
+  /// Byte budget of the memory half; 0 = no memory half.
+  size_t memory_bytes = 0;
+  /// Directory of the disk half; empty = no disk half.
   std::string dir;
   /// fsync entry files and the manifest (power-loss durability; process
   /// death alone never needs it).
@@ -70,6 +84,7 @@ struct StoreManifestEntry {
   std::vector<RelationPin> relations;
 };
 
+/// Disk-half counters (all zero without a directory).
 struct AnswerStoreStats {
   uint64_t puts = 0;
   uint64_t hits = 0;
@@ -78,27 +93,50 @@ struct AnswerStoreStats {
   uint64_t entries_on_open = 0;   ///< intact-looking entries found by Open
 };
 
+/// Thread-safe. The two halves lock separately, so a memory hit never
+/// waits behind entry-file IO.
 class AnswerStore {
  public:
-  /// Opens (creating if needed) the store, indexes existing entries and
-  /// sweeps leftover temp files from interrupted writes.
+  using Ptr = std::shared_ptr<const AnswerSummary>;
+
+  /// Opens the tier. With a directory, creates it if needed, indexes
+  /// existing entries and sweeps leftover temp files from interrupted
+  /// writes.
   static Result<std::unique_ptr<AnswerStore>> Open(
       const AnswerStoreOptions& options);
 
-  /// Returns the stored summary for `key`, or kNotFound. A corrupt entry is
-  /// deleted and reported as kNotFound -- the store never fabricates.
+  /// The tier lookup: the memory half, then the disk half, whose hit is
+  /// promoted into memory. Returns the tier's own pointer, or nullptr on a
+  /// miss; `*from_disk` tells which half answered. The entry-file read is
+  /// traced as "store_lookup".
+  Ptr Get(const std::string& key, obs::Trace* trace, bool* from_disk);
+
+  /// Reads `key`'s entry file (the disk half alone: no memory lookup, no
+  /// promotion), or kNotFound. A corrupt entry is deleted and reported as
+  /// kNotFound -- the store never fabricates.
   Result<AnswerSummary> Lookup(const std::string& key);
 
-  /// Cheap index-only probe (no file read). May return true for an entry
-  /// that Lookup subsequently drops as corrupt.
+  /// Cheap index-only probe of the disk half (no file read). May return
+  /// true for an entry that Lookup subsequently drops as corrupt.
   bool Contains(const std::string& key) const;
 
-  /// Stores `summary` under `key` and records `manifest` provenance.
-  /// Idempotent: re-putting an existing key rewrites the same bytes.
-  Status Put(const std::string& key, const AnswerSummary& summary,
+  /// Inserts `answer` into the memory half and, with a directory, writes
+  /// its entry file and records `manifest` provenance; the status is the
+  /// disk write's. Idempotent: re-putting a key rewrites the same bytes.
+  Status Put(const std::string& key, Ptr answer,
              const StoreManifestEntry& manifest);
+  Status Put(const std::string& key, const AnswerSummary& summary,
+             const StoreManifestEntry& manifest) {
+    return Put(key, std::make_shared<const AnswerSummary>(summary), manifest);
+  }
 
+  bool has_memory() const { return options_.memory_bytes > 0; }
+  bool durable() const { return !options_.dir.empty(); }
+
+  /// Memory-half occupancy and hit counters.
+  LruStats memory_stats() const;
   AnswerStoreStats stats() const;
+  /// Entry files indexed by the disk half.
   size_t entry_count() const;
 
   static std::string EntryFileName(const std::string& key);
@@ -106,11 +144,16 @@ class AnswerStore {
  private:
   explicit AnswerStore(const AnswerStoreOptions& options);
 
+  void Remember(const std::string& key, Ptr answer);
   Status WriteManifestLocked();
   std::string EntryPath(const std::string& key) const;
 
   const AnswerStoreOptions options_;
 
+  mutable std::mutex memory_mu_;
+  ByteBudgetLru<Ptr> memory_;  ///< guarded by memory_mu_
+
+  /// Guards the disk half's index, manifest and counters.
   mutable std::mutex mu_;
   /// Indexed entry file names (no dir) -> put generation. The generation
   /// bumps on every Put of that name; Lookup reads the entry file with mu_

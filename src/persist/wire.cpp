@@ -375,4 +375,45 @@ Status DecodeAnswerSummary(wire::Reader* r, AnswerSummary* out) {
   return Status::OK();
 }
 
+std::string EncodeComplete(const CompleteRecord& record) {
+  std::string out;
+  PutStr(&out, record.key);
+  PutU8(&out, static_cast<uint8_t>(record.code));
+  PutU8(&out, record.stored ? 1 : 0);
+  PutStr(&out, record.answer_key);
+  return out;
+}
+
+Status DecodeComplete(std::string_view payload, CompleteRecord* out) {
+  Reader r(payload);
+  CompleteRecord record;
+  uint8_t code = 0, stored = 0;
+  if (!r.GetStr(&record.key) || !r.GetU8(&code) || !r.GetU8(&stored) ||
+      !r.GetStr(&record.answer_key) ||
+      code > static_cast<uint8_t>(StatusCode::kUnavailable)) {
+    return Status::ParseError("journal complete record: truncated or corrupt");
+  }
+  record.code = static_cast<StatusCode>(code);
+  record.stored = stored != 0;
+  *out = std::move(record);
+  return Status::OK();
+}
+
+std::string EncodeShed(std::string_view key) {
+  std::string out;
+  PutStr(&out, key);
+  return out;
+}
+
+std::string JournalRecordKey(JournalRecordType type, std::string_view payload) {
+  Reader r(payload);
+  if (type == JournalRecordType::kAccept) {
+    uint8_t version = 0;
+    r.GetU8(&version);
+  }
+  std::string key;
+  if (!r.GetStr(&key)) key.clear();
+  return key;
+}
+
 }  // namespace ned

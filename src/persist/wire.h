@@ -24,6 +24,7 @@
 #include "common/hash.h"
 #include "common/status.h"
 #include "core/report.h"
+#include "persist/journal.h"
 
 namespace ned {
 
@@ -72,9 +73,31 @@ class Reader {
 std::string EncodeRequest(const WhyNotRequest& request);
 Status DecodeRequest(std::string_view payload, WhyNotRequest* out);
 
-/// AnswerSummary codec (used by COMPLETE journal records and store entries).
+/// AnswerSummary codec (used by answer-store entries).
 void EncodeAnswerSummary(const AnswerSummary& summary, std::string* out);
 Status DecodeAnswerSummary(wire::Reader* reader, AnswerSummary* out);
+
+/// COMPLETE journal record: the final response for `key`. `stored` says
+/// the answer is in the durable store under `answer_key`, the answer
+/// tier's content key (empty when the request bypassed the tier).
+struct CompleteRecord {
+  std::string key;
+  StatusCode code = StatusCode::kOk;
+  bool stored = false;
+  std::string answer_key;
+};
+std::string EncodeComplete(const CompleteRecord& record);
+Status DecodeComplete(std::string_view payload, CompleteRecord* out);
+
+/// SHED journal record: the request under `key` was finally failed or
+/// shed. The payload is the key alone, so JournalRecordKey decodes it.
+std::string EncodeShed(std::string_view key);
+
+/// The request key a journal record names, read without decoding the rest
+/// -- so it also recovers the key of an ACCEPT that DecodeRequest rejects.
+/// Every record type leads with the key (ACCEPT behind the codec-version
+/// byte); empty when the payload is too mangled to yield one.
+std::string JournalRecordKey(JournalRecordType type, std::string_view payload);
 
 }  // namespace ned
 

@@ -39,8 +39,8 @@ class Catalog {
     uint64_t version = 0;
     /// Stable content fingerprint (DatabaseContentFingerprint), filled only
     /// by GetSnapshotWithFingerprint; 0 from plain GetSnapshot. Unlike
-    /// `version`, it survives process restarts, so it is what durable cache
-    /// keys embed.
+    /// `version`, it survives process restarts and reloads to identical
+    /// content, so it is what the answer tier's keys embed.
     uint64_t content_fingerprint = 0;
   };
 
@@ -58,8 +58,9 @@ class Catalog {
   /// GetSnapshot plus a filled `content_fingerprint`. The fingerprint is
   /// computed off-lock on first demand per published version and cached on
   /// the entry, so steady-state calls cost one map lookup; only the first
-  /// request after a reload pays the O(data) hash. Used by the durability
-  /// layer; services with persistence off never pay for it.
+  /// request after a reload pays the O(data) hash. Used by the answer
+  /// tier, whose keys embed it; requests that bypass the tier never pay for
+  /// it.
   Result<Snapshot> GetSnapshotWithFingerprint(const std::string& name) const;
 
   /// Replaces the whole instance under `name` with `db`, bumping the

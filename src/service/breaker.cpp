@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "cache/answer_cache.h"
 #include "common/strings.h"
 #include "exec/exec_context.h"
 
@@ -15,12 +14,12 @@ bool IsBreakerFailure(const Status& status) {
   return true;
 }
 
-std::string MakeBreakerKey(const std::string& db_name, const std::string& sql,
+std::string MakeBreakerKey(const std::string& db_name, const NormalizedSql& sql,
                            const std::string& question_text) {
-  // Length-prefixed like the answer-cache key, minus the snapshot version
-  // and budgets: poison is a property of the content, and probes (not
-  // version bumps) decide when to re-test it.
-  const std::string norm = NormalizeSqlText(sql);
+  // Length-prefixed like the answer-tier key, minus the content fingerprint
+  // and budgets: poison is a property of the query, and probes (not
+  // reloads) decide when to re-test it.
+  const std::string& norm = sql.text();
   return StrCat("db=", db_name.size(), ":", db_name, "|q=", norm.size(), ":",
                 norm, "|w=", question_text.size(), ":", question_text);
 }

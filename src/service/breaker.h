@@ -47,6 +47,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "common/strings.h"
 #include "common/timer.h"
 
 namespace ned {
@@ -70,7 +71,7 @@ struct BreakerOptions {
 bool IsBreakerFailure(const Status& status);
 
 /// Builds the breaker's normalized content key.
-std::string MakeBreakerKey(const std::string& db_name, const std::string& sql,
+std::string MakeBreakerKey(const std::string& db_name, const NormalizedSql& sql,
                            const std::string& question_text);
 
 /// Thread-safe registry of per-key breaker states (internally locked: the

@@ -27,9 +27,9 @@
 ///
 /// Honesty rules, enforced by the service: every degraded answer is flagged
 /// in AnswerSummary::degradation (rendered by report.cpp), and degraded
-/// answers are never inserted into the AnswerCache -- a cache hit must
-/// always be the full answer, never a brownout artifact outliving the
-/// overload that caused it.
+/// answers are never put into the answer tier -- a tier hit must always be
+/// the full answer, never a brownout artifact outliving the overload that
+/// caused it.
 ///
 /// The controller is a passive object, externally synchronized by the
 /// service mutex; it reads time only via the injected Clock.

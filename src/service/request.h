@@ -42,10 +42,10 @@ struct WhyNotRequest {
   /// Chaos knobs (see service.h for the semantics split).
   uint64_t inject_fault_at_step = 0;
   int inject_transient_failures = 0;
-  /// Skip the content-addressed answer cache AND the durable answer store
-  /// for this request (both lookup and insert); the subtree cache still
-  /// applies. Requests with either chaos knob set bypass implicitly --
-  /// injected faults must actually run.
+  /// Skip the answer tier, memory and disk halves alike, for this request
+  /// (both lookup and put); the subtree cache still applies. Requests with
+  /// either chaos knob set bypass implicitly -- injected faults must
+  /// actually run.
   bool bypass_answer_cache = false;
   /// Record a per-request span trace (obs/trace.h) and deliver it on the
   /// Submission/WhyNotResponse. Transport-only: deliberately NOT journaled

@@ -17,9 +17,12 @@ double MsSince(Clock::TimePoint start, Clock::TimePoint end) {
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
+/// Completed responses the idempotency book keeps (FIFO evicted).
+constexpr size_t kCompletedBookCapacity = 1 << 16;
+
 /// Packs the NedExplainOptions bits that change answer content into the
-/// answer-cache key. keep_tabq_dump is excluded: it only affects the
-/// NedExplainResult dump, never the AnswerSummary being cached.
+/// answer-tier key. keep_tabq_dump is excluded: it only affects the
+/// NedExplainResult dump, never the AnswerSummary the tier holds.
 uint32_t EngineOptionBits(const NedExplainOptions& opts) {
   return (opts.enable_early_termination ? 1u : 0u) |
          (opts.compute_secondary ? 2u : 0u);
@@ -32,20 +35,6 @@ BrownoutOptions ResolveBrownout(const ServiceOptions& options) {
     resolved.p99_target_ms = options.default_deadline_ms;
   }
   return resolved;
-}
-
-/// Best-effort request-key extraction from a replayed journal record.
-/// Every record type leads with the key (ACCEPT behind the codec-version
-/// byte); empty when the payload is too mangled to yield one.
-std::string RecoveredRecordKey(const JournalRecord& record) {
-  wire::Reader reader(record.payload);
-  if (record.type == JournalRecordType::kAccept) {
-    uint8_t version = 0;
-    reader.GetU8(&version);
-  }
-  std::string key;
-  if (!reader.GetStr(&key)) key.clear();
-  return key;
 }
 
 /// Parses the N of an "auto-N" service-assigned key; 0 when `key` has any
@@ -75,16 +64,15 @@ uint64_t AutoKeyNumber(const std::string& key) {
 struct WhyNotService::Job {
   WhyNotRequest request;
   Catalog::Snapshot snapshot;
-  /// Non-empty when a complete answer should be inserted into the
-  /// content-addressed answer cache on completion (the Submit-time lookup
-  /// missed and nothing disqualified the request from caching).
-  std::string answer_cache_key;
   /// Normalized content key for the circuit breaker; empty when breakers
   /// are disabled.
   std::string breaker_key;
-  /// Restart-stable durable-store key; empty when persistence is off or
-  /// the request is excluded from the store (bypass, chaos knobs).
-  std::string store_key;
+  /// The answer tier's content key; empty when the tier is off or the
+  /// request bypasses it (bypass flag, chaos knobs).
+  std::string answer_key;
+  /// Set by Execute when it put the answer into the tier: the tier's own
+  /// pointer, which the idempotency book then shares.
+  std::shared_ptr<const AnswerSummary> answer;
   /// Set by Execute when the answer was durably stored; recorded in the
   /// COMPLETE journal record so recovery knows the store has it.
   bool stored_answer = false;
@@ -120,6 +108,45 @@ struct WhyNotService::Job {
   std::vector<WhyNotService::CompletionCallback> callbacks;
 };
 
+/// One Submit on its way through the admission stages: the request, what
+/// the stages derived from it, and the outcome once a stage resolves it.
+struct WhyNotService::Admission {
+  WhyNotRequest request;
+  CompletionCallback* on_complete = nullptr;
+  /// Null unless the request set collect_trace; `span` is "admission".
+  std::shared_ptr<obs::Trace> trace;
+  int32_t span = -1;
+  size_t row_budget = 0;
+  size_t memory_budget = 0;
+  /// Normalized and rendered once, for both content keys.
+  NormalizedSql sql;
+  std::string question;
+  std::string breaker_key;
+  std::string answer_key;
+  Catalog::Snapshot snapshot;
+  std::shared_ptr<const AnswerSummary> hit;
+  bool hit_from_disk = false;
+  Submission sub;
+
+  /// Resolves the submission synchronously with a final `response`.
+  void Resolve(WhyNotResponse response, bool deduped) {
+    std::promise<WhyNotResponse> ready;
+    ready.set_value(std::move(response));
+    sub.status = Status::OK();
+    sub.deduped = deduped;
+    sub.response = ready.get_future().share();
+  }
+
+  /// The outcome, with the admission-side trace when nothing took it over.
+  Submission Finish() {
+    if (trace != nullptr) {
+      trace->CloseSpan(span);
+      sub.trace = trace;
+    }
+    return std::move(sub);
+  }
+};
+
 WhyNotService::WhyNotService(std::shared_ptr<Catalog> catalog,
                              ServiceOptions options)
     : catalog_(std::move(catalog)),
@@ -129,10 +156,6 @@ WhyNotService::WhyNotService(std::shared_ptr<Catalog> catalog,
                          ? std::make_unique<SubtreeCache>(
                                options.subtree_cache_bytes)
                          : nullptr),
-      answer_cache_(options.answer_cache_bytes > 0
-                        ? std::make_unique<AnswerCache>(
-                              options.answer_cache_bytes)
-                        : nullptr),
       breaker_(options.breaker.failure_threshold > 0
                    ? std::make_unique<CircuitBreaker>(options.breaker, clock_)
                    : nullptr),
@@ -167,19 +190,23 @@ WhyNotService::WhyNotService(std::shared_ptr<Catalog> catalog,
     // it onto another request's answer. Seed past everything the journal
     // remembers.
     for (const JournalRecord& record : recovered_records_) {
-      next_auto_key_ =
-          std::max(next_auto_key_, AutoKeyNumber(RecoveredRecordKey(record)));
+      next_auto_key_ = std::max(
+          next_auto_key_,
+          AutoKeyNumber(JournalRecordKey(record.type, record.payload)));
     }
-    if (options_.persist_answers) {
-      AnswerStoreOptions sopts;
-      sopts.dir = options_.persist_dir + "/store";
-      sopts.fsync = options_.persist_fsync_store;
-      sopts.crash = options_.crash_injector;
-      auto store = AnswerStore::Open(sopts);
-      NED_CHECK_MSG(store.ok(),
-                    "cannot open answer store: " + store.status().message());
-      answer_store_ = std::move(*store);
-    }
+  }
+  AnswerStoreOptions sopts;
+  sopts.memory_bytes = options_.answer_cache_bytes;
+  if (!options_.persist_dir.empty() && options_.persist_answers) {
+    sopts.dir = options_.persist_dir + "/store";
+    sopts.fsync = options_.persist_fsync_store;
+    sopts.crash = options_.crash_injector;
+  }
+  if (sopts.memory_bytes > 0 || !sopts.dir.empty()) {
+    auto store = AnswerStore::Open(sopts);
+    NED_CHECK_MSG(store.ok(),
+                  "cannot open answer store: " + store.status().message());
+    answer_store_ = std::move(*store);
   }
   workers_.reserve(static_cast<size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {
@@ -292,7 +319,9 @@ void WhyNotService::CollectMirrors() {
   if (subtree_cache_ != nullptr) {
     mirror_cache("subtree", subtree_cache_->stats());
   }
-  if (answer_cache_ != nullptr) mirror_cache("answer", answer_cache_->stats());
+  if (answer_store_ != nullptr && answer_store_->has_memory()) {
+    mirror_cache("answer", answer_store_->memory_stats());
+  }
   if (journal_ != nullptr) {
     const JournalStats j = journal_->stats();
     registry_.GetGauge("ned_journal_appends")
@@ -313,12 +342,18 @@ int64_t WhyNotService::SuggestedBackoffLocked() const {
                   options_.max_backoff_ms);
 }
 
-void WhyNotService::RememberCompletedLocked(const std::string& key,
-                                            const WhyNotResponse& response) {
-  if (options_.completed_cache_capacity == 0) return;
-  completed_fifo_.push_back(key);
-  completed_[key] = response;
-  while (completed_fifo_.size() > options_.completed_cache_capacity) {
+void WhyNotService::RememberCompletedLocked(
+    WhyNotResponse* response,
+    std::shared_ptr<const AnswerSummary> tier_answer) {
+  // A tier answer is moved aside while the response is copied, so the entry
+  // holds the tier's pointer instead of a second copy of the answer.
+  const bool shared = tier_answer != nullptr;
+  AnswerSummary delivered;
+  if (shared) std::swap(delivered, response->answer);
+  completed_fifo_.push_back(response->key);
+  completed_[response->key] = Completed{*response, std::move(tier_answer)};
+  if (shared) std::swap(delivered, response->answer);
+  while (completed_fifo_.size() > kCompletedBookCapacity) {
     completed_.erase(completed_fifo_.front());
     completed_fifo_.pop_front();
   }
@@ -326,9 +361,7 @@ void WhyNotService::RememberCompletedLocked(const std::string& key,
 
 void WhyNotService::JournalShedLocked(const std::string& key) {
   if (journal_ == nullptr) return;
-  std::string payload;
-  wire::PutStr(&payload, key);
-  if (journal_->Append(JournalRecordType::kShed, payload).ok()) {
+  if (journal_->Append(JournalRecordType::kShed, EncodeShed(key)).ok()) {
     stat_.journaled_sheds->Increment();
   } else {
     stat_.journal_append_failures->Increment();
@@ -377,354 +410,289 @@ WhyNotService::Submission WhyNotService::Submit(WhyNotRequest request,
 
 WhyNotService::Submission WhyNotService::SubmitImpl(
     WhyNotRequest request, CompletionCallback* on_complete) {
-  Submission sub;
-  // Per-request trace: the admission span covers everything Submit does.
-  // Sync outcomes (sheds, dedupes, cache hits) deliver it on the
-  // Submission; admitted requests hand it to the Job and deliver the full
-  // trace on the response.
-  std::shared_ptr<obs::Trace> trace;
-  int32_t admission_span = -1;
-  if (request.collect_trace) {
-    trace = std::make_shared<obs::Trace>(clock_);
-    admission_span = trace->OpenSpan("admission");
+  Admission a;
+  a.request = std::move(request);
+  a.on_complete = on_complete;
+  if (a.request.collect_trace) {
+    a.trace = std::make_shared<obs::Trace>(clock_);
+    a.span = a.trace->OpenSpan("admission");
   }
-  const auto finish_sync = [&] {
-    if (trace != nullptr) {
-      trace->CloseSpan(admission_span);
-      sub.trace = trace;
-    }
-  };
+  a.row_budget = a.request.row_budget != 0 ? a.request.row_budget
+                                           : options_.default_row_budget;
+  a.memory_budget = a.request.memory_budget != 0
+                        ? a.request.memory_budget
+                        : options_.default_memory_budget;
   std::unique_lock<std::mutex> lock(mu_);
   stat_.submitted->Increment();
-  if (request.key.empty()) {
-    request.key = StrCat("auto-", ++next_auto_key_);
+  if (a.request.key.empty()) {
+    a.request.key = StrCat("auto-", ++next_auto_key_);
   }
+  if (KnownKeyLocked(&a)) return a.Finish();
+  // Content work -- normalizing, the breaker, the snapshot pin with its
+  // fingerprint hash, the tier's entry-file read -- runs with mu_
+  // released, so none of it blocks admission, finalization or the watchdog.
+  lock.unlock();
+  a.sql = a.request.sql;
+  a.question = a.request.question.ToString();
+  if (BreakerFastFails(&a) || PinAndLookUp(&a)) return a.Finish();
+  lock.lock();
+  if (KnownKeyLocked(&a) || ServeTierHitLocked(&a) || LoadShedsLocked(&a)) {
+    return a.Finish();
+  }
+  const std::shared_ptr<Job> job = MakeJob(&a);
+  if (JournalAcceptFailsLocked(&a, *job) || EnqueueShedsLocked(&a, job)) {
+    return a.Finish();
+  }
+  lock.unlock();
+  work_cv_.notify_one();
+  return a.Finish();
+}
+
+void WhyNotService::Attach(Admission* a, Job* job) {
+  if (*a->on_complete) {
+    job->callbacks.push_back(std::move(*a->on_complete));
+    *a->on_complete = nullptr;
+  }
+  a->sub.status = Status::OK();
+  a->sub.response = job->future;
+}
+
+bool WhyNotService::KnownKeyLocked(Admission* a) {
   if (!accepting_) {
     stat_.rejected_shutdown->Increment();
-    sub.status = Status::Unavailable("service shutting down");
-    finish_sync();
-    return sub;
+    a->sub.status = Status::Unavailable("service shutting down");
+    return true;
   }
-  // Idempotency: a completed key re-serves its cached response; an
-  // in-flight key coalesces onto the pending execution. Neither runs twice.
-  if (auto it = completed_.find(request.key); it != completed_.end()) {
+  // Idempotency: a completed key re-serves its response; an in-flight key
+  // coalesces onto the pending execution. Neither runs twice.
+  if (auto it = completed_.find(a->request.key); it != completed_.end()) {
     stat_.served_from_cache->Increment();
-    std::promise<WhyNotResponse> ready;
-    ready.set_value(it->second);
-    sub.status = Status::OK();
-    sub.deduped = true;
-    sub.response = ready.get_future().share();
-    finish_sync();
-    return sub;
+    WhyNotResponse response = it->second.response;
+    if (it->second.tier_answer != nullptr) {
+      response.answer = *it->second.tier_answer;
+    }
+    a->Resolve(std::move(response), /*deduped=*/true);
+    return true;
   }
-  if (auto it = inflight_.find(request.key); it != inflight_.end()) {
+  if (auto it = inflight_.find(a->request.key); it != inflight_.end()) {
+    // Coalesce onto the pending execution: its Finalize fires every
+    // registered callback (we hold mu_, so the job cannot retire between
+    // the find above and the attach).
     stat_.deduped_inflight->Increment();
-    if (*on_complete) {
-      // Coalesce the observer onto the pending execution: its Finalize
-      // fires every registered callback (we hold mu_, so the job cannot
-      // retire between the find above and this append).
-      it->second->callbacks.push_back(std::move(*on_complete));
-      *on_complete = nullptr;
-    }
-    sub.status = Status::OK();
-    sub.deduped = true;
-    sub.response = it->second->future;
-    finish_sync();
-    return sub;
+    Attach(a, it->second.get());
+    a->sub.deduped = true;
+    return true;
   }
-  // Circuit breaker: a content key with an open breaker is rejected
-  // synchronously with its cached permanent error -- no snapshot pin, no
-  // admission, no worker. Probe admission (half-open) is decided at the
-  // worker in Execute, not here.
-  std::string breaker_key;
-  if (breaker_ != nullptr) {
-    breaker_key = MakeBreakerKey(request.db_name, request.sql,
-                                 request.question.ToString());
-    CircuitBreaker::Decision decision;
-    {
-      obs::SpanScope span(trace.get(), "breaker_check");
-      decision = breaker_->Check(breaker_key);
-    }
-    if (decision.gate == CircuitBreaker::Gate::kFastFail) {
-      stat_.breaker_fast_fails->Increment();
-      sub.status = decision.cached_error;
-      sub.breaker_fast_fail = true;
-      finish_sync();
-      return sub;
-    }
+  return false;
+}
+
+bool WhyNotService::BreakerFastFails(Admission* a) {
+  // A content key with an open breaker is rejected synchronously with its
+  // cached permanent error -- no snapshot pin, no admission, no worker.
+  // Probe admission (half-open) is decided at the worker in Execute.
+  if (breaker_ == nullptr) return false;
+  a->breaker_key = MakeBreakerKey(a->request.db_name, a->sql, a->question);
+  CircuitBreaker::Decision decision;
+  {
+    obs::SpanScope span(a->trace.get(), "breaker_check");
+    decision = breaker_->Check(a->breaker_key);
   }
+  if (decision.gate != CircuitBreaker::Gate::kFastFail) return false;
+  stat_.breaker_fast_fails->Increment();
+  a->sub.status = decision.cached_error;
+  a->sub.breaker_fast_fail = true;
+  return true;
+}
+
+bool WhyNotService::PinAndLookUp(Admission* a) {
+  const WhyNotRequest& req = a->request;
+  // Chaos-injected requests bypass the tier: their faults must execute.
+  const bool use_tier = answer_store_ != nullptr && !req.bypass_answer_cache &&
+                        req.inject_fault_at_step == 0 &&
+                        req.inject_transient_failures == 0;
   // Pin the catalog snapshot at admission: this request sees the database
-  // as of now, whatever reloads happen while it waits or runs. Pinned
-  // before the load sheds because an answer-cache hit (below) is served
-  // without consuming queue or memory capacity. With persistence on, the
-  // snapshot also carries the content fingerprint the durable key embeds
-  // (cached per version -- only the first pin after a reload hashes).
+  // as of now, whatever reloads happen while it waits or runs. A tier
+  // lookup also needs the content fingerprint its key embeds (cached per
+  // version -- only the first pin after a reload hashes).
   auto snapshot = [&] {
-    obs::SpanScope span(trace.get(), "snapshot_pin");
-    return answer_store_ != nullptr
-               ? catalog_->GetSnapshotWithFingerprint(request.db_name)
-               : catalog_->GetSnapshot(request.db_name);
+    obs::SpanScope span(a->trace.get(), "snapshot_pin");
+    return use_tier ? catalog_->GetSnapshotWithFingerprint(req.db_name)
+                    : catalog_->GetSnapshot(req.db_name);
   }();
   if (!snapshot.ok()) {
-    sub.status = snapshot.status();  // permanent: do not retry
-    finish_sync();
-    return sub;
+    a->sub.status = snapshot.status();  // permanent: do not retry
+    return true;
   }
-  const size_t mem = request.memory_budget != 0 ? request.memory_budget
-                                                : options_.default_memory_budget;
-  const size_t rows = request.row_budget != 0 ? request.row_budget
-                                              : options_.default_row_budget;
-
-  // Content-addressed answer cache: a complete answer already computed for
-  // this (snapshot, SQL, question, budgets class, options) is replayed
-  // immediately -- no admission, no execution, exactly-once books
-  // untouched. The key embeds the snapshot version pinned above, so a
-  // reload can never serve a stale answer (stale keys simply stop being
-  // generated and age out of the LRU). Chaos-injected requests bypass:
-  // their faults must actually execute. Cache hits are served even under
-  // deep brownout -- replaying a stored full answer costs no worker.
-  std::string answer_key;
-  if (answer_cache_ != nullptr && !request.bypass_answer_cache &&
-      request.inject_fault_at_step == 0 &&
-      request.inject_transient_failures == 0) {
-    answer_key = MakeAnswerCacheKey(
-        request.db_name, snapshot->version, request.sql,
-        request.question.ToString(), rows, mem,
-        EngineOptionBits(request.engine_options));
-    AnswerCache::Ptr hit;
-    {
-      obs::SpanScope span(trace.get(), "answer_cache_lookup");
-      hit = answer_cache_->Lookup(answer_key);
+  a->snapshot = std::move(*snapshot);
+  if (!use_tier) {
+    if (answer_store_ != nullptr && answer_store_->has_memory()) {
+      stat_.answer_cache_bypass->Increment();
     }
-    if (hit != nullptr) {
-      stat_.answer_cache_hits->Increment();
-      WhyNotResponse response;
-      response.key = request.key;
-      response.status = Status::OK();
-      response.answer = hit->summary;
-      response.snapshot_version = snapshot->version;
-      response.served_from_answer_cache = true;
-      // Keep the idempotency contract: this key now has a completed
-      // response, so a resubmission is served from the key cache. Not a
-      // `completed` execution, though -- the exactly-once books count only
-      // admitted work.
-      RememberCompletedLocked(request.key, response);
-      std::promise<WhyNotResponse> ready;
-      ready.set_value(std::move(response));
-      sub.status = Status::OK();
-      sub.response = ready.get_future().share();
-      finish_sync();
-      return sub;
-    }
-    stat_.answer_cache_misses->Increment();
-  } else if (answer_cache_ != nullptr) {
-    stat_.answer_cache_bypass->Increment();
+    return false;
   }
+  // The key embeds the content fingerprint, so an answer can only be
+  // served for the data it was computed on: a reload that changed the data
+  // stops producing the old keys, and one that restored answered content
+  // hits again.
+  a->answer_key = MakeDurableAnswerKey(
+      req.db_name, a->snapshot.content_fingerprint, a->sql, a->question,
+      a->row_budget, a->memory_budget, EngineOptionBits(req.engine_options));
+  obs::SpanScope span(a->trace.get(), "answer_cache_lookup");
+  a->hit = answer_store_->Get(a->answer_key, a->trace.get(), &a->hit_from_disk);
+  return false;
+}
 
-  // Durable answer store: an answer computed for identical database
-  // *content* -- possibly by a previous process incarnation -- is replayed
-  // without admission or execution. Keyed by content fingerprint, so a
-  // reload that changed the data can never hit; a reload that reproduced
-  // identical bytes still does. The hit also warms the in-memory answer
-  // cache so subsequent submissions skip the file read.
-  std::string store_key;
-  if (answer_store_ != nullptr && !request.bypass_answer_cache &&
-      request.inject_fault_at_step == 0 &&
-      request.inject_transient_failures == 0) {
-    store_key = MakeDurableAnswerKey(
-        request.db_name, snapshot->content_fingerprint, request.sql,
-        request.question.ToString(), rows, mem,
-        EngineOptionBits(request.engine_options));
-    // The lookup reads an entry file, so it runs off mu_ -- store IO must
-    // never block admission, worker finalization or the watchdog. The books
-    // can move while the lock is down, so the admission-order checks that
-    // preceded it (shutdown, idempotency) re-run after relocking.
-    lock.unlock();
-    auto stored = [&] {
-      obs::SpanScope span(trace.get(), "store_lookup");
-      return answer_store_->Lookup(store_key);
-    }();
-    lock.lock();
-    if (!accepting_) {
-      stat_.rejected_shutdown->Increment();
-      sub.status = Status::Unavailable("service shutting down");
-      finish_sync();
-      return sub;
-    }
-    if (auto it = completed_.find(request.key); it != completed_.end()) {
-      stat_.served_from_cache->Increment();
-      std::promise<WhyNotResponse> ready;
-      ready.set_value(it->second);
-      sub.status = Status::OK();
-      sub.deduped = true;
-      sub.response = ready.get_future().share();
-      finish_sync();
-      return sub;
-    }
-    if (auto it = inflight_.find(request.key); it != inflight_.end()) {
-      stat_.deduped_inflight->Increment();
-      if (*on_complete) {
-        it->second->callbacks.push_back(std::move(*on_complete));
-        *on_complete = nullptr;
-      }
-      sub.status = Status::OK();
-      sub.deduped = true;
-      sub.response = it->second->future;
-      finish_sync();
-      return sub;
-    }
-    if (stored.ok()) {
-      stat_.answer_store_hits->Increment();
-      WhyNotResponse response;
-      response.key = request.key;
-      response.status = Status::OK();
-      response.answer = std::move(*stored);
-      response.snapshot_version = snapshot->version;
-      response.served_from_answer_store = true;
-      if (answer_cache_ != nullptr && !answer_key.empty()) {
-        auto cached = std::make_shared<CachedAnswer>();
-        cached->summary = response.answer;
-        cached->snapshot_version = snapshot->version;
-        answer_cache_->Insert(answer_key, std::move(cached));
-      }
-      RememberCompletedLocked(request.key, response);
-      std::promise<WhyNotResponse> ready;
-      ready.set_value(std::move(response));
-      sub.status = Status::OK();
-      sub.response = ready.get_future().share();
-      finish_sync();
-      return sub;
-    }
-    stat_.answer_store_misses->Increment();
+bool WhyNotService::ServeTierHitLocked(Admission* a) {
+  if (a->answer_key.empty()) return false;
+  // Counted here, after the known-key stage ran again, so every counted
+  // hit is a served one.
+  const bool memory_hit = a->hit != nullptr && !a->hit_from_disk;
+  if (answer_store_->has_memory()) {
+    (memory_hit ? stat_.answer_cache_hits : stat_.answer_cache_misses)
+        ->Increment();
   }
+  if (answer_store_->durable() && !memory_hit) {
+    (a->hit != nullptr ? stat_.answer_store_hits : stat_.answer_store_misses)
+        ->Increment();
+  }
+  if (a->hit == nullptr) return false;
+  // Served without admission or execution, so the exactly-once books are
+  // untouched; the key still enters the idempotency book, so resubmitting
+  // it re-serves this response. Hits are served even under deep brownout:
+  // replaying a stored full answer costs no worker.
+  WhyNotResponse response;
+  response.key = a->request.key;
+  response.status = Status::OK();
+  response.snapshot_version = a->snapshot.version;
+  response.served_from_answer_cache = memory_hit;
+  response.served_from_answer_store = !memory_hit;
+  RememberCompletedLocked(&response, a->hit);
+  response.answer = *a->hit;
+  a->Resolve(std::move(response), /*deduped=*/false);
+  return true;
+}
 
+bool WhyNotService::ShedLocked(Admission* a, obs::Counter* counter,
+                               std::string why) {
+  counter->Increment();
+  a->sub.status = Status::Unavailable(std::move(why));
+  a->sub.retry_after_ms = SuggestedBackoffLocked();
+  return true;
+}
+
+bool WhyNotService::LoadShedsLocked(Admission* a) {
   // Brownout L3: the deepest rung stops admitting non-interactive work
   // entirely -- batch and background clients retry after backoff while the
   // remaining capacity serves interactive requests (at L2 quality).
   if (brownout_ != nullptr) {
     UpdateBrownoutLocked();
     if (brownout_->level() >= 3 &&
-        request.priority != Priority::kInteractive) {
-      stat_.shed_brownout->Increment();
-      sub.status = Status::Unavailable(
-          StrCat("brownout L3: shedding ", PriorityName(request.priority),
-                 " work"));
-      sub.retry_after_ms = SuggestedBackoffLocked();
-      finish_sync();
-      return sub;
+        a->request.priority != Priority::kInteractive) {
+      return ShedLocked(a, stat_.shed_brownout,
+                        StrCat("brownout L3: shedding ",
+                               PriorityName(a->request.priority), " work"));
     }
   }
   // The watermark only sheds when other work is admitted: a request whose
   // budget alone exceeds it must still be runnable once the service drains,
   // or a retry loop would never terminate.
+  const size_t mem = a->memory_budget;
   if (options_.memory_watermark_bytes != 0 && !inflight_.empty() &&
       admitted_bytes_ + mem > options_.memory_watermark_bytes) {
-    stat_.shed_memory->Increment();
-    sub.status = Status::Unavailable(
+    return ShedLocked(
+        a, stat_.shed_memory,
         StrCat("overloaded: memory watermark (", admitted_bytes_, " + ", mem,
                " > ", options_.memory_watermark_bytes, " bytes)"));
-    sub.retry_after_ms = SuggestedBackoffLocked();
-    finish_sync();
-    return sub;
   }
+  return false;
+}
 
+std::shared_ptr<WhyNotService::Job> WhyNotService::MakeJob(Admission* a) {
   auto job = std::make_shared<Job>();
-  job->request = std::move(request);
-  job->snapshot = *snapshot;
-  job->answer_cache_key = std::move(answer_key);
-  job->breaker_key = std::move(breaker_key);
-  job->store_key = std::move(store_key);
+  job->request = std::move(a->request);
+  job->snapshot = std::move(a->snapshot);
+  job->breaker_key = std::move(a->breaker_key);
+  job->answer_key = std::move(a->answer_key);
   job->submit_time = clock_->Now();
   const int64_t deadline_ms = job->request.deadline_ms != 0
                                   ? job->request.deadline_ms
                                   : options_.default_deadline_ms;
   job->deadline = job->submit_time + std::chrono::milliseconds(deadline_ms);
-  job->memory_charge = mem;
+  job->memory_charge = a->memory_budget;
   job->ctx = std::make_shared<ExecContext>();
   if (options_.clock != nullptr) job->ctx->set_clock(clock_);
   if (options_.context_deadline) job->ctx->set_deadline(job->deadline);
-  if (rows != 0) job->ctx->set_row_budget(rows);
-  if (mem != 0) job->ctx->set_memory_budget(mem);
+  if (a->row_budget != 0) job->ctx->set_row_budget(a->row_budget);
+  if (a->memory_budget != 0) job->ctx->set_memory_budget(a->memory_budget);
   if (job->request.inject_fault_at_step != 0) {
     job->ctx->InjectFailureAt(job->request.inject_fault_at_step);
   }
   job->future = job->promise.get_future().share();
+  return job;
+}
 
+bool WhyNotService::JournalAcceptFailsLocked(Admission* a, const Job& job) {
   // Write-ahead: the ACCEPT record is journaled before admission, so a
   // crash at any later instant finds the request recoverable. Appended
   // under mu_, which also orders it before any COMPLETE the workers could
   // journal (they need mu_ to pop the job). Fail-closed: if the journal
   // cannot append, the request is shed rather than accepted unjournaled.
-  if (journal_ != nullptr) {
-    Status journaled;
-    {
-      obs::SpanScope span(trace.get(), "journal_append");
-      journaled = journal_->Append(JournalRecordType::kAccept,
-                                   EncodeRequest(job->request));
-    }
-    if (!journaled.ok()) {
-      stat_.journal_append_failures->Increment();
-      sub.status = Status::Unavailable(
-          StrCat("journal unavailable: ", journaled.message()));
-      sub.retry_after_ms = SuggestedBackoffLocked();
-      finish_sync();
-      return sub;
-    }
-    stat_.journaled_accepts->Increment();
+  if (journal_ == nullptr) return false;
+  Status journaled;
+  {
+    obs::SpanScope span(a->trace.get(), "journal_append");
+    journaled = journal_->Append(JournalRecordType::kAccept,
+                                 EncodeRequest(job.request));
   }
+  if (!journaled.ok()) {
+    return ShedLocked(a, stat_.journal_append_failures,
+                      StrCat("journal unavailable: ", journaled.message()));
+  }
+  stat_.journaled_accepts->Increment();
+  return false;
+}
 
+bool WhyNotService::EnqueueShedsLocked(Admission* a,
+                                       const std::shared_ptr<Job>& job) {
   // Admission through the priority scheduler: strict class priority, EDF
   // within a class, per-client fair share. The occupancy slot taken here is
-  // held until Finalize releases it. Sheds below resolve the just-written
+  // held until Finalize releases it. A shed here resolves the just-written
   // ACCEPT with a SHED record -- the client saw the rejection, so the
   // request must not resurrect at recovery.
-  const Scheduler::Admit admit = scheduler_.TryAdmit(Scheduler::Entry{
-      job, job->request.priority, job->deadline, job->request.client_id});
-  switch (admit) {
+  const WhyNotRequest& req = job->request;
+  switch (scheduler_.TryAdmit(
+      Scheduler::Entry{job, req.priority, job->deadline, req.client_id})) {
     case Scheduler::Admit::kQueueFull:
-      stat_.shed_queue_full->Increment();
-      JournalShedLocked(job->request.key);
-      sub.status = Status::Unavailable(
-          StrCat("overloaded: queue full (", scheduler_.size(), " queued)"));
-      sub.retry_after_ms = SuggestedBackoffLocked();
-      finish_sync();
-      return sub;
+      JournalShedLocked(req.key);
+      return ShedLocked(a, stat_.shed_queue_full,
+                        StrCat("overloaded: queue full (", scheduler_.size(),
+                               " queued)"));
     case Scheduler::Admit::kClientQuota:
-      stat_.shed_client_quota->Increment();
-      JournalShedLocked(job->request.key);
-      sub.status = Status::Unavailable(
-          StrCat("fair share: client \"", job->request.client_id, "\" has ",
-                 scheduler_.occupancy(job->request.client_id),
+      JournalShedLocked(req.key);
+      return ShedLocked(
+          a, stat_.shed_client_quota,
+          StrCat("fair share: client \"", req.client_id, "\" has ",
+                 scheduler_.occupancy(req.client_id),
                  " requests in flight (limit ", options_.per_client_limit,
                  ")"));
-      sub.retry_after_ms = SuggestedBackoffLocked();
-      finish_sync();
-      return sub;
     case Scheduler::Admit::kOk:
       break;
   }
-  inflight_.emplace(job->request.key, job);
-  admitted_bytes_ += mem;
+  inflight_.emplace(req.key, job);
+  admitted_bytes_ += job->memory_charge;
   stat_.accepted->Increment();
-  if (*on_complete) {
-    job->callbacks.push_back(std::move(*on_complete));
-    *on_complete = nullptr;
-  }
-  if (trace != nullptr) {
-    // Admission ends here; the queue_wait span stays open until a worker
-    // dispatches the job (or Finalize closes it for jobs that never reach
-    // one). The handoff is sequenced by mu_: workers pop under the same
-    // lock this admission holds.
-    trace->CloseSpan(admission_span);
-    job->queue_wait_span = trace->OpenSpan("queue_wait");
-    job->trace = std::move(trace);
+  Attach(a, job.get());
+  if (a->trace != nullptr) {
+    // Admission ends here; the trace moves to the job, whose queue_wait
+    // span stays open until a worker dispatches it (or Finalize closes it
+    // for jobs that never reach one). The handoff is sequenced by mu_:
+    // workers pop under the same lock this admission holds.
+    a->trace->CloseSpan(a->span);
+    job->queue_wait_span = a->trace->OpenSpan("queue_wait");
+    job->trace = std::move(a->trace);
     job->ctx->set_trace(job->trace.get());
   }
-  sub.status = Status::OK();
-  sub.response = job->future;
-  lock.unlock();
-  work_cv_.notify_one();
-  return sub;
+  return false;
 }
 
 void WhyNotService::WorkerLoop() {
@@ -883,48 +851,46 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
     if (brownout_level > 0) stat_.degraded->Increment();
   }
   // Completeness gate: only answers that reflect the data -- not the budgets
-  // of the run that produced them -- enter the content-addressed cache. A
-  // partial answer is honest for its requester but must never be replayed
-  // as authoritative for another. Degraded answers are excluded for the
-  // same reason: their cache key describes the full answer the requester
-  // asked for, not the browned-out one the overload produced.
-  if (!job->answer_cache_key.empty() && answer_cache_ != nullptr &&
-      response.status.ok()) {
+  // of the run that produced them -- enter the answer tier. A partial
+  // answer is honest for its requester but must never be replayed as
+  // authoritative for another. Degraded answers are excluded for the same
+  // reason: their key describes the full answer the requester asked for,
+  // not the browned-out one the overload produced. So every hit, from
+  // memory or disk, is byte-identical to an uninterrupted recomputation.
+  if (!job->answer_key.empty() && response.status.ok()) {
     if (response.answer.degradation_level > 0) {
       stat_.degraded_not_cached->Increment();
-    } else if (response.answer.complete) {
-      auto cached = std::make_shared<CachedAnswer>();
-      cached->summary = response.answer;
-      cached->snapshot_version = job->snapshot.version;
-      answer_cache_->Insert(job->answer_cache_key, std::move(cached));
-      stat_.answer_cache_inserts->Increment();
-    } else {
+    } else if (!response.answer.complete) {
       stat_.partial_not_cached->Increment();
-    }
-  }
-  // Durable spill, under the same honesty gates as the in-memory cache:
-  // only complete, never-degraded answers -- a store hit must always be
-  // byte-identical to an uninterrupted recomputation. Runs off the service
-  // mutex (the store locks itself), so entry-file IO never blocks
-  // admission.
-  if (answer_store_ != nullptr && !job->store_key.empty() &&
-      response.status.ok() && response.answer.complete &&
-      response.answer.degradation_level == 0) {
-    obs::SpanScope store_span(trace, "store_put");
-    StoreManifestEntry manifest;
-    manifest.db_name = req.db_name;
-    manifest.content_fingerprint = job->snapshot.content_fingerprint;
-    for (const std::string& name : db.RelationNames()) {
-      const Relation* rel = db.GetRelation(name).value();
-      manifest.relations.push_back(
-          {name, rel->data_version(), rel->size()});
-    }
-    if (answer_store_->Put(job->store_key, response.answer, manifest).ok()) {
-      job->stored_answer = true;
-      stat_.answer_store_puts->Increment();
+    } else {
+      PutAnswer(job.get(), response.answer);
     }
   }
   finish(/*final=*/true);
+}
+
+void WhyNotService::PutAnswer(Job* job, const AnswerSummary& answer) {
+  job->answer = std::make_shared<const AnswerSummary>(answer);
+  if (answer_store_->has_memory()) stat_.answer_cache_inserts->Increment();
+  if (!answer_store_->durable()) {
+    (void)answer_store_->Put(job->answer_key, job->answer, {});
+    return;
+  }
+  // The entry file is written off the service mutex (the store locks
+  // itself), so its IO never blocks admission.
+  obs::SpanScope span(job->trace.get(), "store_put");
+  const Database& db = *job->snapshot.db;
+  StoreManifestEntry manifest;
+  manifest.db_name = job->request.db_name;
+  manifest.content_fingerprint = job->snapshot.content_fingerprint;
+  for (const std::string& name : db.RelationNames()) {
+    const Relation* rel = db.GetRelation(name).value();
+    manifest.relations.push_back({name, rel->data_version(), rel->size()});
+  }
+  if (answer_store_->Put(job->answer_key, job->answer, manifest).ok()) {
+    job->stored_answer = true;
+    stat_.answer_store_puts->Increment();
+  }
 }
 
 void WhyNotService::Finalize(const std::shared_ptr<Job>& job,
@@ -967,15 +933,13 @@ void WhyNotService::Finalize(const std::shared_ptr<Job>& job,
     // docs/DURABILITY.md).
     if (journal_ != nullptr) {
       if (final) {
-        std::string payload;
-        wire::PutStr(&payload, job->request.key);
-        wire::PutU8(&payload, static_cast<uint8_t>(response.status.code()));
-        wire::PutU8(&payload, job->stored_answer ? 1 : 0);
-        wire::PutStr(&payload, job->store_key);
         Status appended;
         {
           obs::SpanScope span(trace, "journal_append");
-          appended = journal_->Append(JournalRecordType::kComplete, payload);
+          appended = journal_->Append(
+              JournalRecordType::kComplete,
+              EncodeComplete({job->request.key, response.status.code(),
+                              job->stored_answer, job->answer_key}));
         }
         if (appended.ok()) {
           stat_.journaled_completes->Increment();
@@ -990,7 +954,7 @@ void WhyNotService::Finalize(const std::shared_ptr<Job>& job,
       stat_.completed->Increment();
       if (response.expired_in_queue) stat_.expired_in_queue->Increment();
       attempts_.erase(job->request.key);
-      RememberCompletedLocked(job->request.key, response);
+      RememberCompletedLocked(&response, job->answer);
     }
     // Not final: the key leaves the books entirely, so a retry with the
     // same key re-executes (its attempt counter persists in attempts_).
@@ -1181,62 +1145,49 @@ WhyNotService::RecoveryReport WhyNotService::Recover() {
     std::string accept_payload;
     WhyNotRequest request;
     bool request_ok = false;
-    bool has_stored_answer = false;
-    std::string store_key;
+    CompleteRecord complete;
   };
   std::vector<std::string> order;
   std::unordered_map<std::string, KeyState> states;
+  const auto state_of = [&](const std::string& key) -> KeyState& {
+    auto [it, inserted] = states.emplace(key, KeyState{});
+    if (inserted) order.push_back(key);
+    return it->second;
+  };
   for (const JournalRecord& record : records) {
     ++report.replayed_records;
     switch (record.type) {
       case JournalRecordType::kAccept: {
         WhyNotRequest request;
         const bool decoded = DecodeRequest(record.payload, &request).ok();
-        std::string key = decoded ? request.key : std::string();
-        if (!decoded) {
-          // Undecodable ACCEPT (version skew, hostile bytes past the CRC's
-          // reach): recover the key alone if possible so the record can at
-          // least be settled, never fabricated into a request.
-          wire::Reader reader(record.payload);
-          uint8_t version = 0;
-          reader.GetU8(&version);
-          if (!reader.GetStr(&key)) key.clear();
-        }
+        // An undecodable ACCEPT (version skew, hostile bytes past the CRC's
+        // reach) still yields its key if possible, so the record can at
+        // least be settled -- never fabricated into a request.
+        const std::string key =
+            decoded ? request.key
+                    : JournalRecordKey(record.type, record.payload);
         if (key.empty()) {
           ++report.dropped;
           break;
         }
-        auto [it, inserted] = states.emplace(key, KeyState{});
-        if (inserted) order.push_back(key);
-        it->second.kind = Kind::kPending;
-        it->second.accept_payload = record.payload;
-        it->second.request = std::move(request);
-        it->second.request_ok = decoded;
+        KeyState& state = state_of(key);
+        state.kind = Kind::kPending;
+        state.accept_payload = record.payload;
+        state.request = std::move(request);
+        state.request_ok = decoded;
         break;
       }
       case JournalRecordType::kComplete: {
-        wire::Reader reader(record.payload);
-        std::string key;
-        uint8_t code = 0, stored = 0;
-        std::string store_key;
-        if (!reader.GetStr(&key) || !reader.GetU8(&code) ||
-            !reader.GetU8(&stored) || !reader.GetStr(&store_key)) {
-          break;
-        }
-        auto [it, inserted] = states.emplace(key, KeyState{});
-        if (inserted) order.push_back(key);
-        it->second.kind = Kind::kCompleted;
-        it->second.has_stored_answer = stored != 0;
-        it->second.store_key = std::move(store_key);
+        CompleteRecord complete;
+        if (!DecodeComplete(record.payload, &complete).ok()) break;
+        KeyState& state = state_of(complete.key);
+        state.kind = Kind::kCompleted;
+        state.complete = std::move(complete);
         break;
       }
       case JournalRecordType::kShed: {
-        wire::Reader reader(record.payload);
-        std::string key;
-        if (!reader.GetStr(&key)) break;
-        auto [it, inserted] = states.emplace(key, KeyState{});
-        if (inserted) order.push_back(key);
-        it->second.kind = Kind::kShed;
+        const std::string key = JournalRecordKey(record.type, record.payload);
+        if (!key.empty()) state_of(key).kind = Kind::kShed;
         break;
       }
     }
@@ -1248,33 +1199,33 @@ WhyNotService::RecoveryReport WhyNotService::Recover() {
       case Kind::kShed:
         break;  // settled: the client saw the rejection
       case Kind::kCompleted: {
-        // Restore the idempotency book only when the store can actually
+        // Restore the idempotency book only when the disk half can actually
         // re-serve the answer; completions whose answers were never stored
         // (partial, degraded, errors) simply recompute on resubmission.
         // (A journal written with persist_answers on may be recovered with
-        // it off: those completions recompute too.)
-        if (!state.has_stored_answer || state.store_key.empty() ||
-            answer_store_ == nullptr) {
+        // it off: those completions recompute too.) The entry file is read
+        // directly, without promotion: recovery does not warm the memory
+        // half.
+        const CompleteRecord& complete = state.complete;
+        if (!complete.stored || complete.answer_key.empty() ||
+            answer_store_ == nullptr || !answer_store_->durable()) {
           break;
         }
-        auto stored = answer_store_->Lookup(state.store_key);
+        auto stored = answer_store_->Lookup(complete.answer_key);
         if (!stored.ok()) break;
         WhyNotResponse response;
         response.key = key;
         response.status = Status::OK();
-        response.answer = std::move(*stored);
+        response.answer = std::move(stored).value();
         response.served_from_answer_store = true;
         std::lock_guard<std::mutex> lock(mu_);
-        RememberCompletedLocked(key, response);
+        RememberCompletedLocked(&response, nullptr);
         ++report.restored_completed;
         // Re-journal into the fresh segment so the restored book survives
         // the compaction below (and the next crash).
-        std::string payload;
-        wire::PutStr(&payload, key);
-        wire::PutU8(&payload, static_cast<uint8_t>(StatusCode::kOk));
-        wire::PutU8(&payload, 1);
-        wire::PutStr(&payload, state.store_key);
-        (void)journal_->Append(JournalRecordType::kComplete, payload);
+        (void)journal_->Append(
+            JournalRecordType::kComplete,
+            EncodeComplete({key, StatusCode::kOk, true, complete.answer_key}));
         break;
       }
       case Kind::kPending: {
@@ -1389,7 +1340,7 @@ LruStats WhyNotService::subtree_cache_stats() const {
 }
 
 LruStats WhyNotService::answer_cache_stats() const {
-  return answer_cache_ != nullptr ? answer_cache_->stats() : LruStats{};
+  return answer_store_ != nullptr ? answer_store_->memory_stats() : LruStats{};
 }
 
 JournalStats WhyNotService::journal_stats() const {

@@ -32,7 +32,7 @@
 ///     pressure the service steps down a quality ladder -- skip secondary
 ///     answers, condense output, finally shed non-interactive work -- so
 ///     goodput survives overload. Every degraded answer is flagged in its
-///     AnswerSummary and never enters the answer cache.
+///     AnswerSummary and never enters the answer tier.
 ///  6. Circuit breakers (service/breaker.h). Repeated non-retryable
 ///     failures of one request content key open a per-key breaker that
 ///     fast-fails duplicates with the cached error until a half-open probe
@@ -42,14 +42,15 @@
 ///     tripped limit is contained in its request's response; every accepted
 ///     request resolves its future exactly once (Shutdown NED_CHECKs that
 ///     none is lost), and idempotent request keys deduplicate concurrent
-///     duplicates and serve completed ones from cache without re-execution.
+///     duplicates and re-serve completed ones without re-execution. A new
+///     key asking an answered question is served from the content-keyed
+///     answer tier (persist/answer_store.h) without admission or execution.
 ///  8. Crash-safe durability (opt-in via ServiceOptions::persist_dir; see
 ///     docs/DURABILITY.md). Accepted requests are write-ahead journaled
 ///     before admission and marked COMPLETE/SHED before their futures
-///     resolve; completed full-fidelity answers spill to a durable store
-///     keyed by database *content*. Drain() + Recover() extend the
-///     exactly-once contract across process restarts -- including SIGKILL,
-///     proven by tools/ned_crashtest.
+///     resolve; the answer tier gains its disk half. Drain() + Recover()
+///     extend the exactly-once contract across process restarts --
+///     including SIGKILL, proven by tools/ned_crashtest.
 ///
 /// Fault injection for the chaos harness comes in two flavours with
 /// distinct semantics: engine checkpoint faults (`inject_fault_at_step`)
@@ -72,7 +73,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/answer_cache.h"
 #include "cache/subtree_cache.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -113,19 +113,17 @@ struct ServiceOptions {
   /// capped. Clients may use it directly or feed it to RetryPolicy.
   int64_t base_backoff_ms = 5;
   int64_t max_backoff_ms = 500;
-  /// Completed responses kept for idempotent re-submission (FIFO evicted).
-  size_t completed_cache_capacity = 1 << 16;
   /// Watchdog scan period.
   int64_t watchdog_interval_ms = 2;
   /// Arm the deadline inside the ExecContext (cooperative checkpoints). Off,
   /// only the watchdog enforces it -- the service tests use that to prove
   /// the watchdog alone bounds a runaway evaluation.
   bool context_deadline = true;
-  /// Byte budget of the content-addressed AnswerCache (cache/answer_cache.h):
-  /// complete answers keyed by (db, snapshot version, normalized SQL,
-  /// question, budgets class, engine options), served at Submit without
-  /// admission or execution. 0 disables it. Distinct from
-  /// `completed_cache_capacity`, which keys on the idempotency *request key*.
+  /// Byte budget of the answer tier's memory half (persist/answer_store.h):
+  /// complete answers keyed by content (db, content fingerprint, normalized
+  /// SQL, question, budgets class, engine options), served at Submit
+  /// without admission or execution. 0 disables the memory half. Distinct
+  /// from the idempotency book, which keys on the *request key*.
   size_t answer_cache_bytes = 8u << 20;
   /// Byte budget of the SubtreeCache shared by every engine run this service
   /// executes (memoized materialized subtree outputs, keyed by structure +
@@ -144,8 +142,9 @@ struct ServiceOptions {
   /// Root directory of the durability layer (docs/DURABILITY.md). Empty =
   /// no persistence (the default; nothing below applies). When set, the
   /// service write-ahead journals every accepted request under
-  /// `<persist_dir>/journal` and spills completed full-fidelity answers to
-  /// `<persist_dir>/store`; Recover() replays them after a restart.
+  /// `<persist_dir>/journal`, and the answer tier writes its entries to
+  /// `<persist_dir>/store` (its disk half); Recover() replays them after a
+  /// restart.
   std::string persist_dir;
   /// Journal fsync policy and knobs (see persist/journal.h). The default
   /// kEveryNMs survives process death (including SIGKILL) with no fsync on
@@ -159,9 +158,9 @@ struct ServiceOptions {
   int journal_fsync_interval_ms = 250;
   size_t journal_segment_bytes = 4u << 20;
   /// When false, run journal-only durability: exactly-once admission and
-  /// the idempotency book still survive restarts, but completed answers are
-  /// not spilled to `<persist_dir>/store` -- a recovered completion simply
-  /// recomputes on resubmission. The store's per-request cost (temp file +
+  /// the idempotency book still survive restarts, but the answer tier has
+  /// no disk half -- a recovered completion simply recomputes on
+  /// resubmission. The store's per-request cost (temp file +
   /// rename inside the completion path) is the bulk of what full
   /// persistence adds to Submit latency, so deployments that only need
   /// at-most-once semantics can turn it off.
@@ -193,12 +192,12 @@ struct WhyNotResponse {
   double exec_ms = 0;
   /// Suggested client backoff when `status` is retryable.
   int64_t retry_after_ms = 0;
-  /// True when the answer was replayed from the content-addressed answer
-  /// cache at Submit (no admission, no execution; attempt stays 0).
+  /// True when the answer was replayed from the answer tier's memory half
+  /// at Submit (no admission, no execution; attempt stays 0).
   bool served_from_answer_cache = false;
-  /// True when the answer was replayed from the durable answer store
+  /// True when the answer was replayed from the answer tier's disk half
   /// (src/persist/answer_store.h) -- same no-admission, no-execution
-  /// semantics as an answer-cache hit, but the answer survived a restart.
+  /// semantics as a memory hit, but the answer survived a restart.
   bool served_from_answer_store = false;
   /// True when the request's deadline passed while it was still queued:
   /// `status` is kDeadlineExceeded and no worker ever ran it.
@@ -270,13 +269,15 @@ class WhyNotService {
     uint64_t breaker_fast_fails = 0;
     /// Answers computed at brownout level >= 1 (flagged in their summary).
     uint64_t degraded = 0;
-    /// Complete-but-degraded answers kept out of the answer cache (the
-    /// honesty gate: a cache hit is always a full-quality answer).
+    /// Complete-but-degraded answers kept out of the answer tier (the
+    /// honesty gate: a tier hit is always a full-quality answer).
     uint64_t degraded_not_cached = 0;
-    /// Content-addressed answer-cache traffic. Hits are served at Submit
-    /// and are neither `accepted` nor `completed`, so the exactly-once
-    /// books (`accepted == completed + transient_failures`) hold with the
-    /// cache on -- ned_stress asserts this.
+    /// Answer-tier traffic: `answer_cache_*` counts its memory half (hits,
+    /// misses, inserts, and requests that bypass the tier), `answer_store_*`
+    /// its disk half. Hits are served at Submit and are neither `accepted`
+    /// nor `completed`, so the exactly-once books (`accepted == completed +
+    /// transient_failures`) hold with the tier on -- ned_stress asserts
+    /// this.
     uint64_t answer_cache_hits = 0;
     uint64_t answer_cache_misses = 0;
     uint64_t answer_cache_inserts = 0;
@@ -284,9 +285,9 @@ class WhyNotService {
     /// Completed-but-partial answers that were *not* inserted (the
     /// completeness gate; see docs/CACHING.md).
     uint64_t partial_not_cached = 0;
-    /// Durability-layer traffic (all zero with persistence off). Store hits
-    /// are served at Submit like answer-cache hits: neither `accepted` nor
-    /// `completed`, so the exactly-once books still balance.
+    /// Durability-layer traffic (all zero with persistence off). Disk hits
+    /// of the answer tier are served at Submit like memory hits: neither
+    /// `accepted` nor `completed`, so the exactly-once books still balance.
     uint64_t journaled_accepts = 0;
     uint64_t journaled_completes = 0;
     uint64_t journaled_sheds = 0;
@@ -410,20 +411,29 @@ class WhyNotService {
   /// Queued + running requests currently charged to `client_id`.
   size_t client_occupancy(const std::string& client_id) const;
 
-  /// Occupancy/hit counters of the two content caches (all-zero when the
-  /// corresponding byte budget is 0).
+  /// Occupancy/hit counters of the SubtreeCache and of the answer tier's
+  /// memory half (all-zero when the corresponding byte budget is 0).
   LruStats subtree_cache_stats() const;
   LruStats answer_cache_stats() const;
 
-  /// Durability-layer introspection (zero-value structs with persistence
-  /// off).
+  /// Durability-layer introspection: the journal and the answer tier's
+  /// disk half (zero-value structs with persistence off).
   bool persistence_enabled() const { return journal_ != nullptr; }
   JournalStats journal_stats() const;
   AnswerStoreStats answer_store_stats() const;
 
  private:
   struct Job;
+  struct Admission;
   using Scheduler = PriorityScheduler<std::shared_ptr<Job>>;
+
+  /// One idempotency-book entry: a final response. An answer the tier
+  /// holds (tier hits and puts) is shared through `tier_answer`, not
+  /// copied: `response.answer` is then left empty.
+  struct Completed {
+    WhyNotResponse response;
+    std::shared_ptr<const AnswerSummary> tier_answer;
+  };
 
   /// Registry handles behind the Stats snapshot: one obs::Counter per
   /// field, registered once at construction. Increment sites need no lock;
@@ -459,11 +469,25 @@ class WhyNotService {
     obs::Counter* answer_store_puts = nullptr;
   };
 
-  /// Submit's body. `on_complete` (never null; may hold an empty function)
-  /// is moved onto the Job -- and nulled out -- when the submission attaches
-  /// to admitted/in-flight work; left untouched for synchronous
-  /// resolutions, which the public wrapper delivers inline.
+  /// Submit's body: a driver over the admission stages below, each of which
+  /// returns true when it resolved the submission. `on_complete` (never
+  /// null; may hold an empty function) is moved onto the Job -- and nulled
+  /// out -- when the submission attaches to admitted/in-flight work; left
+  /// untouched for synchronous resolutions, which the public wrapper
+  /// delivers inline.
   Submission SubmitImpl(WhyNotRequest request, CompletionCallback* on_complete);
+  bool KnownKeyLocked(Admission* a);
+  bool BreakerFastFails(Admission* a);
+  bool PinAndLookUp(Admission* a);
+  bool ServeTierHitLocked(Admission* a);
+  bool LoadShedsLocked(Admission* a);
+  bool JournalAcceptFailsLocked(Admission* a, const Job& job);
+  bool EnqueueShedsLocked(Admission* a, const std::shared_ptr<Job>& job);
+  /// Every shed's outcome: kUnavailable with the suggested backoff.
+  bool ShedLocked(Admission* a, obs::Counter* counter, std::string why);
+  /// Attaches the submission (and its callback) to `job`'s pending answer.
+  static void Attach(Admission* a, Job* job);
+  std::shared_ptr<Job> MakeJob(Admission* a);
   /// Registers every metric family and the mirror-gauge collector; runs
   /// once in the constructor before any thread starts.
   void RegisterMetrics();
@@ -472,19 +496,24 @@ class WhyNotService {
   void WorkerLoop();
   void WatchdogLoop();
   void Execute(const std::shared_ptr<Job>& job);
+  /// Puts a complete, full-fidelity answer into the tier.
+  void PutAnswer(Job* job, const AnswerSummary& answer);
   /// Finalizes a queued job whose deadline passed before any worker ran it.
   void FailExpired(const std::shared_ptr<Job>& job);
   /// Resolves the job's promise and drops it from the in-flight books.
-  /// `final` moves the response into the idempotency cache; transient
+  /// `final` records the response in the idempotency book; transient
   /// failures instead clear the key so a retry re-executes.
   void Finalize(const std::shared_ptr<Job>& job, WhyNotResponse response,
                 bool final);
   int64_t SuggestedBackoffLocked() const;
   /// Feeds current pressure signals to the brownout controller.
   void UpdateBrownoutLocked();
-  /// Inserts into the idempotency completed-book with FIFO eviction.
-  void RememberCompletedLocked(const std::string& key,
-                               const WhyNotResponse& response);
+  /// Inserts `response` into the idempotency book with FIFO eviction,
+  /// sharing its answer when `tier_answer` (the tier's copy of it) is
+  /// given. The response keeps its answer.
+  void RememberCompletedLocked(
+      WhyNotResponse* response,
+      std::shared_ptr<const AnswerSummary> tier_answer);
   /// Journals a SHED record for `key` (best-effort; counts failures).
   void JournalShedLocked(const std::string& key);
 
@@ -504,17 +533,17 @@ class WhyNotService {
   obs::Histogram* queue_us_ = nullptr;
   obs::Histogram* exec_us_ = nullptr;
   obs::Histogram* total_us_ = nullptr;
-  /// Both caches are internally locked; nullptr when disabled by options.
+  /// Internally locked; nullptr when disabled by options.
   const std::unique_ptr<SubtreeCache> subtree_cache_;
-  const std::unique_ptr<AnswerCache> answer_cache_;
   /// Internally locked (workers call End outside mu_); null when disabled.
   const std::unique_ptr<CircuitBreaker> breaker_;
-  /// Durability layer; both null when options.persist_dir is empty. The
-  /// journal and store are internally locked (appends from Submit/Finalize
-  /// hold mu_ first; store entry-file IO -- Submit lookups and Execute puts
-  /// -- runs with mu_ released so store latency never blocks admission.
-  /// The lock order service mu_ -> persist mutex is acyclic).
+  /// Null when options.persist_dir is empty. Internally locked; appends
+  /// from Submit/Finalize hold mu_ first (the lock order service mu_ ->
+  /// journal mutex is acyclic).
   std::unique_ptr<Journal> journal_;
+  /// The answer tier; null when it has neither a memory budget nor a
+  /// directory. Internally locked and only ever called with mu_ released,
+  /// so neither its IO nor the fingerprint behind its key blocks admission.
   std::unique_ptr<AnswerStore> answer_store_;
   /// Records replayed by Journal::Open at construction, consumed by the
   /// first Recover() call.
@@ -534,8 +563,9 @@ class WhyNotService {
   std::unordered_map<std::string, std::shared_ptr<Job>> inflight_;
   /// Execution-attempt counters per key (spans transient-failure retries).
   std::unordered_map<std::string, int> attempts_;
-  /// Completed responses for idempotent re-submission + FIFO eviction order.
-  std::unordered_map<std::string, WhyNotResponse> completed_;
+  /// The idempotency book: completed responses by request key, FIFO
+  /// evicted beyond a fixed capacity.
+  std::unordered_map<std::string, Completed> completed_;
   std::deque<std::string> completed_fifo_;
   /// Summed memory budgets of in-flight requests (watermark accounting).
   size_t admitted_bytes_ = 0;

@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "algebra/fingerprint.h"
-#include "cache/answer_cache.h"
 #include "cache/lru.h"
 #include "cache/subtree_cache.h"
 #include "canonical/canonicalizer.h"
+#include "common/strings.h"
 #include "core/report.h"
 #include "relational/catalog.h"
 #include "service/service.h"
@@ -476,22 +476,6 @@ TEST(SubtreeCacheInvalidation, CachedBlocksNeverPointIntoTheirSnapshot) {
   EXPECT_EQ(served.survivors_at_root, 1u);  // R.k=30 now joins z
 }
 
-// ---- answer cache: key semantics -------------------------------------------
-
-TEST(AnswerCacheKey, SeparatesEveryKeyedDimension) {
-  const std::string base =
-      MakeAnswerCacheKey("db", 1, "SELECT R.v FROM R", "q", 0, 0, 0);
-  EXPECT_EQ(base, MakeAnswerCacheKey("db", 1, "select  r.v  from r;", "q", 0,
-                                     0, 0));
-  EXPECT_NE(base, MakeAnswerCacheKey("db2", 1, "SELECT R.v FROM R", "q", 0, 0, 0));
-  EXPECT_NE(base, MakeAnswerCacheKey("db", 2, "SELECT R.v FROM R", "q", 0, 0, 0));
-  EXPECT_NE(base, MakeAnswerCacheKey("db", 1, "SELECT R.k FROM R", "q", 0, 0, 0));
-  EXPECT_NE(base, MakeAnswerCacheKey("db", 1, "SELECT R.v FROM R", "q2", 0, 0, 0));
-  EXPECT_NE(base, MakeAnswerCacheKey("db", 1, "SELECT R.v FROM R", "q", 100, 0, 0));
-  EXPECT_NE(base, MakeAnswerCacheKey("db", 1, "SELECT R.v FROM R", "q", 0, 100, 0));
-  EXPECT_NE(base, MakeAnswerCacheKey("db", 1, "SELECT R.v FROM R", "q", 0, 0, 1));
-}
-
 // ---- answer cache through the service --------------------------------------
 
 WhyNotRequest TinyRequest(const std::string& key) {
@@ -625,6 +609,77 @@ TEST(AnswerCacheService, PartialAnswersAreNeverCached) {
   EXPECT_EQ(stats.answer_cache_hits, 0u);
   EXPECT_GE(stats.partial_not_cached, 2u);
   EXPECT_EQ(service.answer_cache_stats().entries, 0u);
+}
+
+TEST(AnswerCacheService, ReloadToAnsweredContentIsServedFromMemory) {
+  // Persistence off, so only the memory half can serve. The tier keys by
+  // content, so a reload that restores answered content hits again.
+  auto catalog = TinyCatalog();
+  WhyNotService service(catalog);
+  NED_EXPECT_OK(catalog->ReloadCsv("tiny", "R", kJoinedRCsv));  // content A
+  const WhyNotResponse first = service.Submit(TinyRequest("a1")).response.get();
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  ASSERT_TRUE(first.answer.complete);
+  EXPECT_EQ(first.attempt, 1);
+
+  NED_EXPECT_OK(catalog->ReloadCsv("tiny", "R", kTinyRCsv));  // content B
+  const WhyNotResponse other = service.Submit(TinyRequest("b1")).response.get();
+  ASSERT_TRUE(other.status.ok()) << other.status.ToString();
+  EXPECT_EQ(other.attempt, 1);
+
+  NED_EXPECT_OK(catalog->ReloadCsv("tiny", "R", kJoinedRCsv));  // A again
+  const WhyNotResponse again = service.Submit(TinyRequest("a2")).response.get();
+  ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+  EXPECT_TRUE(again.served_from_answer_cache);
+  EXPECT_EQ(again.attempt, 0);
+  EXPECT_EQ(again.snapshot_version, catalog->VersionOf("tiny"));
+  ExpectSameAnswer(first.answer, again.answer);
+
+  service.Shutdown();
+  EXPECT_EQ(service.stats().completed, 2u);
+  EXPECT_EQ(service.stats().answer_cache_hits, 1u);
+}
+
+TEST(AnswerCacheService, CompletedKeyIsServedAgainAfterTheTierEvictsIt) {
+  WhyNotRequest q2 = TinyRequest("k2");
+  CTuple tc;
+  tc.Add("R.v", Value::Str("a"));
+  q2.question = WhyNotQuestion(tc);
+
+  // Measure what each answer costs the memory half, then size it for one.
+  size_t one = 0, both = 0;
+  {
+    WhyNotService probe(TinyCatalog());
+    ASSERT_TRUE(probe.Submit(TinyRequest("k1")).response.get().status.ok());
+    one = probe.answer_cache_stats().bytes;
+    ASSERT_TRUE(probe.Submit(q2).response.get().status.ok());
+    both = probe.answer_cache_stats().bytes;
+    probe.Shutdown();
+  }
+  ASSERT_GT(one, 0u);
+  ASSERT_GT(both, one);
+  ServiceOptions options;
+  options.answer_cache_bytes = std::max(one, both - one);
+  WhyNotService service(TinyCatalog(), options);
+
+  const WhyNotResponse r1 = service.Submit(TinyRequest("k1")).response.get();
+  ASSERT_TRUE(r1.status.ok()) << r1.status.ToString();
+  ASSERT_TRUE(r1.answer.complete);
+  ASSERT_TRUE(service.Submit(q2).response.get().status.ok());
+  ASSERT_EQ(service.answer_cache_stats().evictions, 1u);  // q1 is gone
+  ASSERT_EQ(service.answer_cache_stats().entries, 1u);
+
+  // The idempotency book shares the answer, so k1 still re-serves it
+  // without executing anything.
+  const uint64_t completed = service.stats().completed;
+  auto again = service.Submit(TinyRequest("k1"));
+  ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+  EXPECT_TRUE(again.deduped);
+  const WhyNotResponse r1_again = again.response.get();
+  EXPECT_EQ(r1_again.attempt, r1.attempt);
+  ExpectSameAnswer(r1.answer, r1_again.answer);
+  EXPECT_EQ(service.stats().completed, completed);
+  service.Shutdown();
 }
 
 // ---- multi-client staleness race -------------------------------------------

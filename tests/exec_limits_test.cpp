@@ -17,6 +17,7 @@
 #include "baseline/whynot_baseline.h"
 #include "core/nedexplain.h"
 #include "core/report.h"
+#include "core/suggest.h"
 #include "datasets/running_example.h"
 #include "exec/exec_context.h"
 #include "datasets/use_cases.h"
@@ -247,17 +248,31 @@ TEST(ExecLimits, PartialReportRendersDegradation) {
   tc.Add("R.a", Value::Int(-1));
   WhyNotQuestion question{tc};
 
+  // A complete run first, so the engine holds a previous input.
+  auto complete = engine->Explain(question);
+  ASSERT_TRUE(complete.ok());
+  ASSERT_GT(engine->last_input().TotalTuples(), 0u);
+
+  // The 50-row budget trips at the second scan's check while the input
+  // instance is built.
   ExecContext ctx;
   ctx.set_row_budget(50);
   auto result = engine->Explain(question, &ctx);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->completeness.complete);
+  // The renderers read this run's (empty) input, never the previous one.
+  EXPECT_EQ(engine->last_input().TotalTuples(), 0u);
   std::string report = RenderExplainReport(*engine, question, *result);
   EXPECT_NE(report.find("PARTIAL RESULT"), std::string::npos);
   EXPECT_NE(report.find("Answer (partial):"), std::string::npos);
   std::string summary = result->completeness.ToString();
   EXPECT_NE(summary.find("partial"), std::string::npos);
   EXPECT_NE(summary.find("ResourceExhausted"), std::string::npos);
+  const AnswerSummary answer = SummarizeResult(*engine, *result);
+  EXPECT_FALSE(answer.complete);
+  auto hints = SuggestModifications(*engine, *result);
+  ASSERT_TRUE(hints.ok()) << hints.status().ToString();
+  EXPECT_TRUE(hints->empty());
 }
 
 TEST(ExecLimits, BaselineHonoursLimits) {

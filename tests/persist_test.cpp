@@ -195,6 +195,48 @@ TEST(Wire, AnswerSummaryRoundTripsAndRejectsTruncation) {
   }
 }
 
+TEST(Wire, JournalRecordCodecsPinBytesAndRejectTruncation) {
+  const std::string complete =
+      EncodeComplete({"k", StatusCode::kOk, true, "s"});
+  EXPECT_EQ(complete, std::string("\x01\x00\x00\x00k\x00\x01"
+                                  "\x01\x00\x00\x00s",
+                                  12));
+  CompleteRecord decoded;
+  NED_EXPECT_OK(DecodeComplete(complete, &decoded));
+  EXPECT_EQ(decoded.key, "k");
+  EXPECT_EQ(decoded.code, StatusCode::kOk);
+  EXPECT_TRUE(decoded.stored);
+  EXPECT_EQ(decoded.answer_key, "s");
+  const std::string shed = EncodeShed("k");
+  EXPECT_EQ(shed, std::string("\x01\x00\x00\x00k", 5));
+  EXPECT_EQ(JournalRecordKey(JournalRecordType::kShed, shed), "k");
+  for (size_t cut = 0; cut < complete.size(); ++cut) {
+    CompleteRecord out;
+    EXPECT_FALSE(DecodeComplete(complete.substr(0, cut), &out).ok())
+        << "complete prefix of " << cut << " bytes decoded";
+  }
+  for (size_t cut = 0; cut < shed.size(); ++cut) {
+    EXPECT_EQ(JournalRecordKey(JournalRecordType::kShed, shed.substr(0, cut)),
+              "")
+        << "shed prefix of " << cut << " bytes decoded";
+  }
+}
+
+TEST(Wire, JournalRecordKeyReadsEveryRecordType) {
+  WhyNotRequest req = FullRequest();
+  std::string accept = EncodeRequest(req);
+  EXPECT_EQ(JournalRecordKey(JournalRecordType::kAccept, accept), req.key);
+  // An ACCEPT that DecodeRequest rejects still yields its key.
+  accept[0] = static_cast<char>(0x7F);
+  WhyNotRequest ignored;
+  ASSERT_FALSE(DecodeRequest(accept, &ignored).ok());
+  EXPECT_EQ(JournalRecordKey(JournalRecordType::kAccept, accept), req.key);
+  EXPECT_EQ(JournalRecordKey(JournalRecordType::kComplete,
+                             EncodeComplete({"c", StatusCode::kOk, false, ""})),
+            "c");
+  EXPECT_EQ(JournalRecordKey(JournalRecordType::kShed, "\x05"), "");
+}
+
 // ---- atomic file writes ----------------------------------------------------
 
 TEST(AtomicFile, WritesAndReplacesWithoutTempLeftovers) {
@@ -562,18 +604,33 @@ TEST(AnswerStore, GarbageManifestDoesNotBlockOpen) {
 }
 
 TEST(AnswerStore, DurableKeysSeparateContentBudgetsAndFingerprints) {
-  const std::string base = MakeDurableAnswerKey("db", 0x1111, "SELECT ...",
-                                                "(R.v:c)", 0, 0, 0);
-  EXPECT_EQ(base, MakeDurableAnswerKey("db", 0x1111, "SELECT ...", "(R.v:c)",
-                                       0, 0, 0));
-  EXPECT_NE(base, MakeDurableAnswerKey("db", 0x2222, "SELECT ...", "(R.v:c)",
-                                       0, 0, 0));
-  EXPECT_NE(base, MakeDurableAnswerKey("db", 0x1111, "SELECT other",
+  // The tier's one key. Its bytes are pinned: stores written by earlier
+  // binaries must keep hitting.
+  EXPECT_EQ(MakeDurableAnswerKey("db", 0x1111, "SELECT  R.v FROM R;", "q", 0,
+                                 0, 0),
+            "db=2:db|fp=0000000000001111|q=17:select r.v from r|w=1:q|rb=0|"
+            "mb=0|o=0");
+  const std::string base = MakeDurableAnswerKey(
+      "db", 0x1111, "SELECT R.v FROM R", "(R.v:c)", 0, 0, 0);
+  EXPECT_EQ(base, MakeDurableAnswerKey("db", 0x1111, "SELECT R.v FROM R",
                                        "(R.v:c)", 0, 0, 0));
-  EXPECT_NE(base, MakeDurableAnswerKey("db", 0x1111, "SELECT ...", "(R.v:c)",
-                                       10, 0, 0));
-  EXPECT_NE(base, MakeDurableAnswerKey("db", 0x1111, "SELECT ...", "(R.v:c)",
-                                       0, 0, 1));
+  // Spellings of one query share the key.
+  EXPECT_EQ(base, MakeDurableAnswerKey("db", 0x1111, "select  r.v  from r;",
+                                       "(R.v:c)", 0, 0, 0));
+  EXPECT_NE(base, MakeDurableAnswerKey("db2", 0x1111, "SELECT R.v FROM R",
+                                       "(R.v:c)", 0, 0, 0));
+  EXPECT_NE(base, MakeDurableAnswerKey("db", 0x2222, "SELECT R.v FROM R",
+                                       "(R.v:c)", 0, 0, 0));
+  EXPECT_NE(base, MakeDurableAnswerKey("db", 0x1111, "SELECT R.k FROM R",
+                                       "(R.v:c)", 0, 0, 0));
+  EXPECT_NE(base, MakeDurableAnswerKey("db", 0x1111, "SELECT R.v FROM R",
+                                       "(R.v:d)", 0, 0, 0));
+  EXPECT_NE(base, MakeDurableAnswerKey("db", 0x1111, "SELECT R.v FROM R",
+                                       "(R.v:c)", 10, 0, 0));
+  EXPECT_NE(base, MakeDurableAnswerKey("db", 0x1111, "SELECT R.v FROM R",
+                                       "(R.v:c)", 0, 10, 0));
+  EXPECT_NE(base, MakeDurableAnswerKey("db", 0x1111, "SELECT R.v FROM R",
+                                       "(R.v:c)", 0, 0, 1));
 }
 
 // ---- service round trip ----------------------------------------------------
