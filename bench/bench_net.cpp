@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/strings.h"
@@ -271,7 +272,8 @@ int main(int argc, char** argv) {
   std::printf("wire/in-process p50 ratio: %.2fx (gate: < 2.00x)\n", overhead);
 
   std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"net\",\n  \"modes\": [\n";
+  out << "{\n  \"benchmark\": \"net\",\n  \"cores\": "
+      << std::thread::hardware_concurrency() << ",\n  \"modes\": [\n";
   for (size_t i = 0; i < modes.size(); ++i) {
     out << "    {\"name\": \"" << modes[i].name
         << "\", \"requests\": " << modes[i].requests

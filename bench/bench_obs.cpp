@@ -252,6 +252,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   out << "{\n  \"benchmark\": \"obs\",\n  \"reps\": " << reps
+      << ",\n  \"cores\": " << std::thread::hardware_concurrency()
       << ",\n  \"smoke\": " << (smoke ? "true" : "false")
       << ",\n  \"aggregate\": {\"noise\": " << med_noise
       << ", \"noise_delta_ms\": " << med_noise_delta

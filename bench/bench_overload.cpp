@@ -1,26 +1,23 @@
 /// \file bench_overload.cpp
 /// \brief Overload resilience: per-class goodput and admitted-latency tails
-/// under 1x/2x/4x load, with the brownout ladder off vs on.
+/// under 1x/2x/4x load.
 ///
 /// The workload is built for head-of-line pain: interactive clients submit a
 /// cheap question against a small database, batch and background clients
 /// submit a heavy cross-join that occupies a worker for tens of
-/// milliseconds. Each load level runs the same closed-loop client mix twice
-/// -- brownout disabled, then enabled -- against a small worker pool and
-/// queue, and measures per class:
+/// milliseconds. Each load level runs one closed-loop client mix against a
+/// small worker pool and queue, with priority scheduling and fair-share
+/// quotas on, and measures per class:
 ///
 ///   - goodput: OK answers (complete or honestly partial) per second,
 ///   - p50/p99 of admitted requests (queue wait + execution),
-///   - degraded answers (the quality price brownout charges),
 ///   - sheds and retry exhaustions (the work overload refused).
 ///
-/// Priority scheduling and fair-share quotas are on in both arms; the
-/// comparison isolates what the degradation ladder itself buys once the
-/// scheduler alone can no longer protect interactive latency. Emits
-/// BENCH_overload.json for cross-PR tracking. `--smoke` is the CI-sized
-/// run: shorter cells, 1x/2x only, and no expectations beyond "interactive
-/// work still completes" -- single-core CI runners make real goodput claims
-/// meaningless there.
+/// No answer is cut down to relieve load: overload is bounded by what the
+/// service refuses, delays or expires. Writes BENCH_overload.json.
+/// `--smoke` is the CI-sized run: shorter cells, 1x/2x only, and no
+/// expectations beyond "interactive work still completes" -- single-core CI
+/// runners make real goodput claims meaningless there.
 ///
 /// Usage: bench_overload [--seconds S] [--out path.json] [--smoke]
 
@@ -112,11 +109,10 @@ WhyNotRequest HeavyRequest(Priority priority) {
   return req;
 }
 
-/// One client thread's tally; merged per (load, brownout, class) cell.
+/// One client thread's tally; merged per (load, class) cell.
 struct Tally {
   uint64_t attempted = 0;
   uint64_t ok = 0;
-  uint64_t degraded = 0;
   uint64_t sheds = 0;
   uint64_t exhausted = 0;
   std::vector<double> latencies_ms;
@@ -147,7 +143,6 @@ void ClientLoop(Priority priority, int client_idx, uint64_t seed,
     }
     if (!outcome.response.status.ok()) continue;  // queue expiry etc.
     ++tally->ok;
-    if (outcome.response.answer.degradation_level > 0) ++tally->degraded;
     tally->latencies_ms.push_back(outcome.response.queue_ms +
                                   outcome.response.exec_ms);
   }
@@ -155,7 +150,6 @@ void ClientLoop(Priority priority, int client_idx, uint64_t seed,
 
 struct CellResult {
   int load = 0;
-  bool brownout = false;
   Priority priority = Priority::kInteractive;
   Tally tally;
   double goodput_rps = 0;
@@ -197,85 +191,62 @@ int main(int argc, char** argv) {
   std::cout << "bench_overload: " << kWorkers << " workers, queue " << kQueue
             << ", " << seconds << "s per cell, " << cores << " cores"
             << (smoke ? " (smoke)" : "") << "\n";
-  std::cout << "load  brownout  class        goodput/s  p50_ms   p99_ms  "
-               "degraded  sheds  lost\n";
+  std::cout << "load  class        goodput/s  p50_ms   p99_ms  sheds  lost\n";
 
   std::vector<CellResult> results;
   for (int load : loads) {
-    for (bool brownout : {false, true}) {
-      ServiceOptions options;
-      options.workers = kWorkers;
-      options.queue_capacity = kQueue;
-      options.per_client_limit = 2;
-      options.default_deadline_ms = 2000;
-      // Caches off: repeat questions would otherwise be served at Submit
-      // and the cell would measure the cache, not overload behaviour.
-      options.answer_cache_bytes = 0;
-      options.subtree_cache_bytes = 0;
-      options.brownout.enabled = brownout;
-      options.brownout.p99_target_ms = 100;
-      WhyNotService service(catalog, options);
+    ServiceOptions options;
+    options.workers = kWorkers;
+    options.queue_capacity = kQueue;
+    options.per_client_limit = 2;
+    options.default_deadline_ms = 2000;
+    // Caches off: repeat questions would otherwise be served at Submit
+    // and the cell would measure the cache, not overload behaviour.
+    options.answer_cache_bytes = 0;
+    options.subtree_cache_bytes = 0;
+    WhyNotService service(catalog, options);
 
-      const auto horizon =
-          std::chrono::steady_clock::now() +
-          std::chrono::milliseconds(static_cast<int64_t>(seconds * 1000));
-      const Priority classes[] = {Priority::kInteractive, Priority::kBatch,
-                                  Priority::kBackground};
-      std::vector<std::vector<Tally>> tallies(3);
-      std::vector<std::thread> threads;
-      for (size_t c = 0; c < 3; ++c) {
-        tallies[c].resize(static_cast<size_t>(load));
-        for (int i = 0; i < load; ++i) {
-          threads.emplace_back(ClientLoop, classes[c], i,
-                               static_cast<uint64_t>(load * 16 + i), &service,
-                               horizon, &tallies[c][static_cast<size_t>(i)]);
-        }
-      }
-      for (auto& t : threads) t.join();
-      service.Shutdown();
-
-      for (size_t c = 0; c < 3; ++c) {
-        CellResult cell;
-        cell.load = load;
-        cell.brownout = brownout;
-        cell.priority = classes[c];
-        std::vector<double> latencies;
-        for (const Tally& t : tallies[c]) {
-          cell.tally.attempted += t.attempted;
-          cell.tally.ok += t.ok;
-          cell.tally.degraded += t.degraded;
-          cell.tally.sheds += t.sheds;
-          cell.tally.exhausted += t.exhausted;
-          latencies.insert(latencies.end(), t.latencies_ms.begin(),
-                           t.latencies_ms.end());
-        }
-        cell.goodput_rps = static_cast<double>(cell.tally.ok) / seconds;
-        cell.p50_ms = Percentile(latencies, 0.50);
-        cell.p99_ms = Percentile(latencies, 0.99);
-        results.push_back(cell);
-        std::printf("%4dx  %7s  %-11s  %9.1f  %6.2f  %7.2f  %8llu  %5llu  %4llu\n",
-                    cell.load, brownout ? "on" : "off",
-                    PriorityName(cell.priority), cell.goodput_rps, cell.p50_ms,
-                    cell.p99_ms,
-                    static_cast<unsigned long long>(cell.tally.degraded),
-                    static_cast<unsigned long long>(cell.tally.sheds),
-                    static_cast<unsigned long long>(cell.tally.exhausted));
+    const auto horizon =
+        std::chrono::steady_clock::now() +
+        std::chrono::milliseconds(static_cast<int64_t>(seconds * 1000));
+    const Priority classes[] = {Priority::kInteractive, Priority::kBatch,
+                                Priority::kBackground};
+    std::vector<std::vector<Tally>> tallies(3);
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < 3; ++c) {
+      tallies[c].resize(static_cast<size_t>(load));
+      for (int i = 0; i < load; ++i) {
+        threads.emplace_back(ClientLoop, classes[c], i,
+                             static_cast<uint64_t>(load * 16 + i), &service,
+                             horizon, &tallies[c][static_cast<size_t>(i)]);
       }
     }
-  }
+    for (auto& t : threads) t.join();
+    service.Shutdown();
 
-  // The headline: what the ladder buys interactive work at the top load.
-  double interactive_off = 0, interactive_on = 0;
-  for (const CellResult& c : results) {
-    if (c.load == loads.back() && c.priority == Priority::kInteractive) {
-      (c.brownout ? interactive_on : interactive_off) = c.goodput_rps;
+    for (size_t c = 0; c < 3; ++c) {
+      CellResult cell;
+      cell.load = load;
+      cell.priority = classes[c];
+      std::vector<double> latencies;
+      for (const Tally& t : tallies[c]) {
+        cell.tally.attempted += t.attempted;
+        cell.tally.ok += t.ok;
+        cell.tally.sheds += t.sheds;
+        cell.tally.exhausted += t.exhausted;
+        latencies.insert(latencies.end(), t.latencies_ms.begin(),
+                         t.latencies_ms.end());
+      }
+      cell.goodput_rps = static_cast<double>(cell.tally.ok) / seconds;
+      cell.p50_ms = Percentile(latencies, 0.50);
+      cell.p99_ms = Percentile(latencies, 0.99);
+      results.push_back(cell);
+      std::printf("%4dx  %-11s  %9.1f  %6.2f  %7.2f  %5llu  %4llu\n",
+                  cell.load, PriorityName(cell.priority), cell.goodput_rps,
+                  cell.p50_ms, cell.p99_ms,
+                  static_cast<unsigned long long>(cell.tally.sheds),
+                  static_cast<unsigned long long>(cell.tally.exhausted));
     }
-  }
-  if (interactive_off > 0) {
-    std::printf("interactive goodput at %dx load: %.1f/s off -> %.1f/s on "
-                "(%.2fx)\n",
-                loads.back(), interactive_off, interactive_on,
-                interactive_on / interactive_off);
   }
 
   std::ofstream out(out_path);
@@ -290,13 +261,11 @@ int main(int argc, char** argv) {
       << ",\n  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const CellResult& c = results[i];
-    out << "    {\"load\": " << c.load << ", \"brownout\": "
-        << (c.brownout ? "true" : "false") << ", \"class\": \""
+    out << "    {\"load\": " << c.load << ", \"class\": \""
         << PriorityName(c.priority) << "\", \"attempted\": "
         << c.tally.attempted << ", \"ok\": " << c.tally.ok
         << ", \"goodput_rps\": " << c.goodput_rps
         << ", \"p50_ms\": " << c.p50_ms << ", \"p99_ms\": " << c.p99_ms
-        << ", \"degraded\": " << c.tally.degraded
         << ", \"sheds\": " << c.tally.sheds
         << ", \"exhausted\": " << c.tally.exhausted << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
@@ -308,8 +277,8 @@ int main(int argc, char** argv) {
   // Goodput *claims* stay out of CI -- single-core runners invert them.
   for (const CellResult& c : results) {
     if (c.priority == Priority::kInteractive && c.tally.ok == 0) {
-      std::cerr << "FAIL: no interactive goodput at " << c.load << "x load "
-                << "(brownout " << (c.brownout ? "on" : "off") << ")\n";
+      std::cerr << "FAIL: no interactive goodput at " << c.load
+                << "x load\n";
       return 1;
     }
   }

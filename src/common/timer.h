@@ -19,10 +19,10 @@ namespace ned {
 
 /// Injectable time source: the virtual now() seam that lets the service's
 /// time-driven behaviour (queue expiry, breaker half-open probes, watchdog
-/// deadlines, brownout hysteresis) run against a test-controlled clock
-/// instead of wall time. Production code passes nullptr / Clock::Real() and
-/// pays one virtual call per read; tests inject a ManualClock and advance it
-/// explicitly, so expiry tests assert on exact instants instead of sleeping.
+/// deadlines) run against a test-controlled clock instead of wall time.
+/// Production code passes nullptr / Clock::Real() and pays one virtual call
+/// per read; tests inject a ManualClock and advance it explicitly, so expiry
+/// tests assert on exact instants instead of sleeping.
 class Clock {
  public:
   using TimePoint = std::chrono::steady_clock::time_point;

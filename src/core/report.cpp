@@ -9,9 +9,6 @@ std::string AnswerSummary::ToString() const {
                     std::to_string(detailed.size()) + " secondary=[" +
                     Join(secondary, ",") + "]";
   out += complete ? " (complete)" : " (" + completeness + ")";
-  // Rendered only when degraded, so L0 output (and every golden pinned
-  // before brownout existed) is byte-identical.
-  if (degradation_level > 0) out += " degraded=" + degradation;
   return out;
 }
 

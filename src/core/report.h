@@ -35,11 +35,12 @@ struct AnswerSummary {
   /// original run's counters.
   size_t subtree_cache_hits = 0;
   size_t subtree_cache_misses = 0;
-  /// Brownout ladder level this answer was computed at (0 = full quality).
-  /// Degraded answers are honestly flagged and never stored in the answer
-  /// cache; see service/brownout.h for the ladder semantics.
+  /// Reserved: nothing in src/ sets these two, so every answer carries 0
+  /// and "" -- the full answer. They keep their slots in the JSON response
+  /// (net/wire.cpp) and in answer-store entries (persist/wire.cpp), so
+  /// entries written by earlier binaries still load, and perfbench, which
+  /// fails any answer carrying a nonzero level, still compiles.
   int degradation_level = 0;
-  /// Human-readable degradation tag ("L1:no-secondary", ...); empty at L0.
   std::string degradation;
 
   bool empty() const {

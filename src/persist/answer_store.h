@@ -11,9 +11,8 @@
 /// answered content hits again; and the key is stable across restarts, so
 /// the disk half serves answers computed by an earlier process.
 ///
-/// Only COMPLETE answers computed at full fidelity are ever put -- never
-/// partial (tripped) results, never brownout-degraded ones -- so a hit is
-/// always byte-identical to an uninterrupted recomputation.
+/// Only COMPLETE answers are ever put -- never partial (tripped) results --
+/// so a hit is always byte-identical to an uninterrupted recomputation.
 ///
 /// The memory half (`memory_bytes`, cache/lru.h) holds shared immutable
 /// summaries; Get hands out the tier's own pointer, and a disk hit is

@@ -74,7 +74,7 @@ struct RetryOutcome {
   WhyNotResponse response;
   /// Submit calls made (>= 1).
   int attempts = 0;
-  /// Admission rejections (queue/watermark/quota/brownout sheds).
+  /// Admission rejections (queue/watermark/quota sheds).
   int sheds = 0;
   /// Retryable execution failures (injected transients) encountered.
   int transients = 0;

@@ -28,15 +28,6 @@ uint32_t EngineOptionBits(const NedExplainOptions& opts) {
          (opts.compute_secondary ? 2u : 0u);
 }
 
-/// Brownout with p99_target_ms = 0 inherits the service default deadline.
-BrownoutOptions ResolveBrownout(const ServiceOptions& options) {
-  BrownoutOptions resolved = options.brownout;
-  if (resolved.p99_target_ms == 0) {
-    resolved.p99_target_ms = options.default_deadline_ms;
-  }
-  return resolved;
-}
-
 /// Parses the N of an "auto-N" service-assigned key; 0 when `key` has any
 /// other shape (client-chosen keys are never shaped like this unless the
 /// client opted into the collision).
@@ -160,11 +151,7 @@ WhyNotService::WhyNotService(std::shared_ptr<Catalog> catalog,
                    ? std::make_unique<CircuitBreaker>(options.breaker, clock_)
                    : nullptr),
       scheduler_(SchedulerOptions{options.queue_capacity,
-                                  options.per_client_limit}),
-      brownout_(options.brownout.enabled
-                    ? std::make_unique<BrownoutController>(
-                          ResolveBrownout(options), clock_)
-                    : nullptr) {
+                                  options.per_client_limit}) {
   NED_CHECK_MSG(catalog_ != nullptr, "service needs a catalog");
   NED_CHECK_MSG(options_.workers > 0, "service needs at least one worker");
   NED_CHECK_MSG(options_.queue_capacity > 0, "queue capacity must be > 0");
@@ -234,8 +221,6 @@ void WhyNotService::RegisterMetrics() {
   stat_.watchdog_cancels = req("watchdog_cancel");
   stat_.expired_in_queue = req("expired_in_queue");
   stat_.breaker_fast_fails = req("breaker_fast_fail");
-  stat_.degraded = req("degraded");
-  stat_.degraded_not_cached = req("degraded_not_cached");
   stat_.partial_not_cached = req("partial_not_cached");
   auto shed = [this](const char* reason) {
     return registry_.GetCounter("ned_service_shed_total", {{"reason", reason}});
@@ -243,7 +228,6 @@ void WhyNotService::RegisterMetrics() {
   stat_.shed_queue_full = shed("queue_full");
   stat_.shed_memory = shed("memory");
   stat_.shed_client_quota = shed("client_quota");
-  stat_.shed_brownout = shed("brownout");
   auto cache = [this](const char* event) {
     return registry_.GetCounter("ned_answer_cache_total", {{"event", event}});
   };
@@ -288,8 +272,6 @@ void WhyNotService::CollectMirrors() {
         ->Set(static_cast<int64_t>(inflight_.size()));
     registry_.GetGauge("ned_admitted_bytes")
         ->Set(static_cast<int64_t>(admitted_bytes_));
-    registry_.GetGauge("ned_brownout_level")
-        ->Set(brownout_ != nullptr ? brownout_->level() : 0);
   }
   if (breaker_ != nullptr) {
     const CircuitBreaker::Stats b = breaker_->stats();
@@ -365,29 +347,6 @@ void WhyNotService::JournalShedLocked(const std::string& key) {
     stat_.journaled_sheds->Increment();
   } else {
     stat_.journal_append_failures->Increment();
-  }
-}
-
-void WhyNotService::UpdateBrownoutLocked() {
-  if (brownout_ == nullptr) return;
-  const double queue_frac = static_cast<double>(scheduler_.size()) /
-                            static_cast<double>(options_.queue_capacity);
-  const double mem_frac =
-      options_.memory_watermark_bytes != 0
-          ? static_cast<double>(admitted_bytes_) /
-                static_cast<double>(options_.memory_watermark_bytes)
-          : 0.0;
-  brownout_->Update(queue_frac, mem_frac);
-  // Ladder transitions are rare enough that the per-edge counter lookup
-  // (shard lock + map probe) costs nothing on the steady path.
-  const int level = brownout_->level();
-  if (level != last_brownout_level_) {
-    registry_
-        .GetCounter("ned_brownout_transitions_total",
-                    {{"from", std::to_string(last_brownout_level_)},
-                     {"to", std::to_string(level)}})
-        ->Increment();
-    last_brownout_level_ = level;
   }
 }
 
@@ -558,8 +517,7 @@ bool WhyNotService::ServeTierHitLocked(Admission* a) {
   if (a->hit == nullptr) return false;
   // Served without admission or execution, so the exactly-once books are
   // untouched; the key still enters the idempotency book, so resubmitting
-  // it re-serves this response. Hits are served even under deep brownout:
-  // replaying a stored full answer costs no worker.
+  // it re-serves this response.
   WhyNotResponse response;
   response.key = a->request.key;
   response.status = Status::OK();
@@ -581,18 +539,6 @@ bool WhyNotService::ShedLocked(Admission* a, obs::Counter* counter,
 }
 
 bool WhyNotService::LoadShedsLocked(Admission* a) {
-  // Brownout L3: the deepest rung stops admitting non-interactive work
-  // entirely -- batch and background clients retry after backoff while the
-  // remaining capacity serves interactive requests (at L2 quality).
-  if (brownout_ != nullptr) {
-    UpdateBrownoutLocked();
-    if (brownout_->level() >= 3 &&
-        a->request.priority != Priority::kInteractive) {
-      return ShedLocked(a, stat_.shed_brownout,
-                        StrCat("brownout L3: shedding ",
-                               PriorityName(a->request.priority), " work"));
-    }
-  }
   // The watermark only sheds when other work is admitted: a request whose
   // budget alone exceeds it must still be runnable once the service drains,
   // or a retry loop would never terminate.
@@ -746,16 +692,9 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
   }
   const int32_t exec_span =
       trace != nullptr ? trace->OpenSpan("execute") : -1;
-  int brownout_level = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     response.attempt = ++attempts_[req.key];
-    if (brownout_ != nullptr) {
-      // The level read here governs this whole execution: one request never
-      // mixes quality levels even if the controller moves mid-run.
-      UpdateBrownoutLocked();
-      brownout_level = brownout_->level();
-    }
   }
   // Breaker recheck at the worker: work admitted before its breaker opened
   // (or queued behind the failures that opened it) must not execute after.
@@ -815,12 +754,6 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
   if (subtree_cache_ != nullptr) {
     engine_options.subtree_cache = subtree_cache_.get();
   }
-  // Brownout computation cuts: L1+ skips the secondary answer, L2+ drops
-  // TabQ dumps. The condensed/detailed core is never cut -- only capped in
-  // rendering by ApplyBrownoutToSummary.
-  if (brownout_level > 0) {
-    ApplyBrownoutToOptions(brownout_level, &engine_options);
-  }
   auto engine = NedExplainEngine::Create(&*tree, &db, engine_options);
   if (!engine.ok()) {
     response.status = engine.status();
@@ -840,27 +773,16 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
     response.status = result.status();
   } else {
     response.status = Status::OK();
-    {
-      obs::SpanScope span(trace, "render");
-      response.answer = SummarizeResult(*engine, *result);
-      if (brownout_level > 0) {
-        ApplyBrownoutToSummary(brownout_level, options_.brownout.detailed_cap,
-                               &response.answer);
-      }
-    }
-    if (brownout_level > 0) stat_.degraded->Increment();
+    obs::SpanScope span(trace, "render");
+    response.answer = SummarizeResult(*engine, *result);
   }
   // Completeness gate: only answers that reflect the data -- not the budgets
   // of the run that produced them -- enter the answer tier. A partial
   // answer is honest for its requester but must never be replayed as
-  // authoritative for another. Degraded answers are excluded for the same
-  // reason: their key describes the full answer the requester asked for,
-  // not the browned-out one the overload produced. So every hit, from
-  // memory or disk, is byte-identical to an uninterrupted recomputation.
+  // authoritative for another. So every hit, from memory or disk, is
+  // byte-identical to an uninterrupted recomputation.
   if (!job->answer_key.empty() && response.status.ok()) {
-    if (response.answer.degradation_level > 0) {
-      stat_.degraded_not_cached->Increment();
-    } else if (!response.answer.complete) {
+    if (!response.answer.complete) {
       stat_.partial_not_cached->Increment();
     } else {
       PutAnswer(job.get(), response.answer);
@@ -958,16 +880,6 @@ void WhyNotService::Finalize(const std::shared_ptr<Job>& job,
     }
     // Not final: the key leaves the books entirely, so a retry with the
     // same key re-executes (its attempt counter persists in attempts_).
-    if (brownout_ != nullptr) {
-      // Expired and fast-failed responses cost microseconds; feeding them
-      // to the p99 window would *mask* pressure exactly when shedding is
-      // heaviest, so only executed completions count.
-      if (!response.expired_in_queue && !response.breaker_fast_fail) {
-        brownout_->RecordCompletion(
-            static_cast<int64_t>(response.queue_ms + response.exec_ms));
-      }
-      UpdateBrownoutLocked();
-    }
   }
   if (final) {
     // End-to-end latency distributions: final outcomes only, so retried
@@ -1201,7 +1113,7 @@ WhyNotService::RecoveryReport WhyNotService::Recover() {
       case Kind::kCompleted: {
         // Restore the idempotency book only when the disk half can actually
         // re-serve the answer; completions whose answers were never stored
-        // (partial, degraded, errors) simply recompute on resubmission.
+        // (partial answers, errors) simply recompute on resubmission.
         // (A journal written with persist_answers on may be recovered with
         // it off: those completions recompute too.) The entry file is read
         // directly, without promotion: recovery does not warm the memory
@@ -1290,7 +1202,6 @@ WhyNotService::Stats WhyNotService::stats() const {
   s.shed_queue_full = stat_.shed_queue_full->value();
   s.shed_memory = stat_.shed_memory->value();
   s.shed_client_quota = stat_.shed_client_quota->value();
-  s.shed_brownout = stat_.shed_brownout->value();
   s.rejected_shutdown = stat_.rejected_shutdown->value();
   s.deduped_inflight = stat_.deduped_inflight->value();
   s.served_from_cache = stat_.served_from_cache->value();
@@ -1299,8 +1210,6 @@ WhyNotService::Stats WhyNotService::stats() const {
   s.watchdog_cancels = stat_.watchdog_cancels->value();
   s.expired_in_queue = stat_.expired_in_queue->value();
   s.breaker_fast_fails = stat_.breaker_fast_fails->value();
-  s.degraded = stat_.degraded->value();
-  s.degraded_not_cached = stat_.degraded_not_cached->value();
   s.answer_cache_hits = stat_.answer_cache_hits->value();
   s.answer_cache_misses = stat_.answer_cache_misses->value();
   s.answer_cache_inserts = stat_.answer_cache_inserts->value();
@@ -1319,11 +1228,6 @@ WhyNotService::Stats WhyNotService::stats() const {
 size_t WhyNotService::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return scheduler_.size();
-}
-
-int WhyNotService::brownout_level() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return brownout_ != nullptr ? brownout_->level() : 0;
 }
 
 CircuitBreaker::Stats WhyNotService::breaker_stats() const {

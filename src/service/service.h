@@ -28,24 +28,19 @@
 ///     checkpoints) and backstopped by a watchdog thread that fires
 ///     RequestCancel on overrun, so a checkpoint gap cannot blow the
 ///     latency bound.
-///  5. Brownout degradation (service/brownout.h, opt-in). Under measured
-///     pressure the service steps down a quality ladder -- skip secondary
-///     answers, condense output, finally shed non-interactive work -- so
-///     goodput survives overload. Every degraded answer is flagged in its
-///     AnswerSummary and never enters the answer tier.
-///  6. Circuit breakers (service/breaker.h). Repeated non-retryable
+///  5. Circuit breakers (service/breaker.h). Repeated non-retryable
 ///     failures of one request content key open a per-key breaker that
 ///     fast-fails duplicates with the cached error until a half-open probe
 ///     proves the key healthy again -- poison queries cost a bounded number
 ///     of executions.
-///  7. Crash isolation and exactly-once responses. Any Status error or
+///  6. Crash isolation and exactly-once responses. Any Status error or
 ///     tripped limit is contained in its request's response; every accepted
 ///     request resolves its future exactly once (Shutdown NED_CHECKs that
 ///     none is lost), and idempotent request keys deduplicate concurrent
 ///     duplicates and re-serve completed ones without re-execution. A new
 ///     key asking an answered question is served from the content-keyed
 ///     answer tier (persist/answer_store.h) without admission or execution.
-///  8. Crash-safe durability (opt-in via ServiceOptions::persist_dir; see
+///  7. Crash-safe durability (opt-in via ServiceOptions::persist_dir; see
 ///     docs/DURABILITY.md). Accepted requests are write-ahead journaled
 ///     before admission and marked COMPLETE/SHED before their futures
 ///     resolve; the answer tier gains its disk half. Drain() + Recover()
@@ -84,7 +79,6 @@
 #include "persist/journal.h"
 #include "relational/catalog.h"
 #include "service/breaker.h"
-#include "service/brownout.h"
 #include "service/request.h"
 #include "service/scheduler.h"
 
@@ -132,9 +126,6 @@ struct ServiceOptions {
   /// Per-request-key circuit breaker policy (breaker.failure_threshold = 0
   /// disables breakers entirely).
   BreakerOptions breaker;
-  /// Brownout ladder policy (disabled unless brownout.enabled). A zero
-  /// brownout.p99_target_ms inherits `default_deadline_ms`.
-  BrownoutOptions brownout;
   /// Time source for deadlines, expiry, breaker probes and the watchdog.
   /// nullptr = the real steady clock. Tests inject a ManualClock here to
   /// make time-driven behaviour deterministic.
@@ -250,9 +241,6 @@ class WhyNotService {
     uint64_t shed_memory = 0;
     /// Sheds charged to a single client's fair-share quota.
     uint64_t shed_client_quota = 0;
-    /// Non-interactive work shed at admission while the brownout ladder was
-    /// at L3.
-    uint64_t shed_brownout = 0;
     uint64_t rejected_shutdown = 0;
     uint64_t deduped_inflight = 0;
     uint64_t served_from_cache = 0;
@@ -267,11 +255,6 @@ class WhyNotService {
     /// and worker-side (accepted before the breaker opened; counted in
     /// `completed`).
     uint64_t breaker_fast_fails = 0;
-    /// Answers computed at brownout level >= 1 (flagged in their summary).
-    uint64_t degraded = 0;
-    /// Complete-but-degraded answers kept out of the answer tier (the
-    /// honesty gate: a tier hit is always a full-quality answer).
-    uint64_t degraded_not_cached = 0;
     /// Answer-tier traffic: `answer_cache_*` counts its memory half (hits,
     /// misses, inserts, and requests that bypass the tier), `answer_store_*`
     /// its disk half. Hits are served at Submit and are neither `accepted`
@@ -397,15 +380,13 @@ class WhyNotService {
 
   /// The service's unified metrics registry (src/obs/): every counter in
   /// Stats, latency histograms (ned_request_{queue,exec,total}_us) and
-  /// mirror gauges for the scheduler, brownout, breaker, cache and journal
+  /// mirror gauges for the scheduler, breaker, cache and journal
   /// internals, refreshed by a collector at Collect() time.
   /// Collect() takes the service mutex via that collector -- never call it
   /// while holding locks that order after mu_. See docs/OBSERVABILITY.md
   /// for the catalog.
   obs::MetricsRegistry* metrics() const { return &registry_; }
 
-  /// Current brownout ladder level (0 when brownout is disabled).
-  int brownout_level() const;
   /// Breaker counters (all-zero when breakers are disabled).
   CircuitBreaker::Stats breaker_stats() const;
   /// Queued + running requests currently charged to `client_id`.
@@ -444,7 +425,6 @@ class WhyNotService {
     obs::Counter* shed_queue_full = nullptr;
     obs::Counter* shed_memory = nullptr;
     obs::Counter* shed_client_quota = nullptr;
-    obs::Counter* shed_brownout = nullptr;
     obs::Counter* rejected_shutdown = nullptr;
     obs::Counter* deduped_inflight = nullptr;
     obs::Counter* served_from_cache = nullptr;
@@ -453,8 +433,6 @@ class WhyNotService {
     obs::Counter* watchdog_cancels = nullptr;
     obs::Counter* expired_in_queue = nullptr;
     obs::Counter* breaker_fast_fails = nullptr;
-    obs::Counter* degraded = nullptr;
-    obs::Counter* degraded_not_cached = nullptr;
     obs::Counter* answer_cache_hits = nullptr;
     obs::Counter* answer_cache_misses = nullptr;
     obs::Counter* answer_cache_inserts = nullptr;
@@ -506,8 +484,6 @@ class WhyNotService {
   void Finalize(const std::shared_ptr<Job>& job, WhyNotResponse response,
                 bool final);
   int64_t SuggestedBackoffLocked() const;
-  /// Feeds current pressure signals to the brownout controller.
-  void UpdateBrownoutLocked();
   /// Inserts `response` into the idempotency book with FIFO eviction,
   /// sharing its answer when `tier_answer` (the tier's copy of it) is
   /// given. The response keeps its answer.
@@ -557,8 +533,6 @@ class WhyNotService {
   bool stopping_ = false;
   /// Priority/EDF queue + per-client occupancy; guarded by mu_.
   Scheduler scheduler_;
-  /// Guarded by mu_; null when brownout is disabled.
-  const std::unique_ptr<BrownoutController> brownout_;
   /// Accepted, not yet finalized (queued or running), by idempotency key.
   std::unordered_map<std::string, std::shared_ptr<Job>> inflight_;
   /// Execution-attempt counters per key (spans transient-failure retries).
@@ -570,8 +544,6 @@ class WhyNotService {
   /// Summed memory budgets of in-flight requests (watermark accounting).
   size_t admitted_bytes_ = 0;
   uint64_t next_auto_key_ = 0;
-  /// Last brownout level seen, for the transition counter; guarded by mu_.
-  int last_brownout_level_ = 0;
 
   std::vector<std::thread> workers_;
   std::thread watchdog_;

@@ -257,6 +257,10 @@ TEST(NedExplain, ReportRendering) {
   EXPECT_NE(report.find("Homer"), std::string::npos);
   EXPECT_NE(report.find("Breakpoint view"), std::string::npos);
   EXPECT_NE(report.find("detailed"), std::string::npos);
+  // The one-line summary: condensed names, detailed count, secondary names
+  // and the completeness tag, with nothing after it.
+  EXPECT_EQ(SummarizeResult(*engine, *result).ToString(),
+            "condensed=[m5] detailed=1 secondary=[] (complete)");
   std::string phases = RenderPhaseBreakdown(result->phases);
   EXPECT_NE(phases.find("Initialization"), std::string::npos);
 }

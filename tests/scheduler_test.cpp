@@ -1,9 +1,9 @@
 /// \file scheduler_test.cpp
 /// \brief Units for the overload-resilience building blocks: the priority/
-/// EDF scheduler with fair-share quotas, the per-key circuit breaker state
-/// machine, and the brownout degradation ladder. All time-driven behaviour
-/// runs against a ManualClock, so every expiry/probe/hysteresis assertion
-/// is on an exact instant -- no sleeps, no flakes.
+/// EDF scheduler with fair-share quotas and the per-key circuit breaker
+/// state machine. All time-driven behaviour runs against a ManualClock, so
+/// every expiry/probe assertion is on an exact instant -- no sleeps, no
+/// flakes.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +12,7 @@
 #include <vector>
 
 #include "common/timer.h"
-#include "core/nedexplain.h"
-#include "core/report.h"
-#include "datasets/use_cases.h"
 #include "service/breaker.h"
-#include "service/brownout.h"
 #include "service/scheduler.h"
 
 namespace ned {
@@ -247,196 +243,6 @@ TEST(CircuitBreaker, KeyIsContentNotRequestIdentity) {
   EXPECT_NE(MakeBreakerKey("db2", "SELECT R.v FROM R", "(R.v:c)"), base);
   EXPECT_NE(MakeBreakerKey("db", "SELECT R.w FROM R", "(R.v:c)"), base);
   EXPECT_NE(MakeBreakerKey("db", "SELECT R.v FROM R", "(R.v:d)"), base);
-}
-
-// ---- BrownoutController -----------------------------------------------------
-
-BrownoutOptions TestBrownout() {
-  BrownoutOptions options;
-  options.enabled = true;
-  options.p99_target_ms = 100;
-  options.step_down_hold_ms = 50;
-  return options;
-}
-
-TEST(Brownout, LevelForPressureIsMonotone) {
-  const BrownoutOptions options = TestBrownout();
-  int last = 0;
-  for (double p = 0.0; p <= 1.5; p += 0.01) {
-    const int level = BrownoutController::LevelForPressure(p, options);
-    EXPECT_GE(level, last) << "ladder regressed at pressure " << p;
-    last = level;
-  }
-  EXPECT_EQ(BrownoutController::LevelForPressure(0.49, options), 0);
-  EXPECT_EQ(BrownoutController::LevelForPressure(0.50, options), 1);
-  EXPECT_EQ(BrownoutController::LevelForPressure(0.75, options), 2);
-  EXPECT_EQ(BrownoutController::LevelForPressure(0.90, options), 3);
-  EXPECT_EQ(last, 3);
-}
-
-TEST(Brownout, StepsUpImmediatelyAndDownOneRungAfterHold) {
-  ManualClock clock;
-  BrownoutController controller(TestBrownout(), &clock);
-  EXPECT_EQ(controller.Update(0.0, 0.0), 0);
-  // Pressure spike: straight to L3, no hold.
-  EXPECT_EQ(controller.Update(0.95, 0.0), 3);
-  // Pressure gone, but the level holds until step_down_hold_ms passes...
-  EXPECT_EQ(controller.Update(0.0, 0.0), 3);
-  clock.AdvanceMs(49);
-  EXPECT_EQ(controller.Update(0.0, 0.0), 3);
-  clock.AdvanceMs(1);
-  // ...then recovery walks down one rung per hold period, re-arming each
-  // time -- never a cliff from L3 to L0.
-  EXPECT_EQ(controller.Update(0.0, 0.0), 2);
-  clock.AdvanceMs(50);
-  EXPECT_EQ(controller.Update(0.0, 0.0), 2);
-  clock.AdvanceMs(50);
-  EXPECT_EQ(controller.Update(0.0, 0.0), 1);
-  // A fresh spike mid-recovery jumps straight back up.
-  EXPECT_EQ(controller.Update(0.80, 0.0), 2);
-}
-
-TEST(Brownout, RecentLatencyP99DrivesPressure) {
-  ManualClock clock;
-  BrownoutController controller(TestBrownout(), &clock);
-  // A window of completions at 2x the p99 target saturates the latency
-  // signal even with an empty queue and no memory pressure.
-  for (int i = 0; i < 128; ++i) controller.RecordCompletion(200);
-  EXPECT_EQ(controller.RecentP99Ms(), 200);
-  EXPECT_EQ(controller.Update(0.0, 0.0), 3);
-  EXPECT_GE(controller.pressure(), 2.0);
-}
-
-TEST(Brownout, DisabledControllerNeverLeavesL0) {
-  ManualClock clock;
-  BrownoutOptions options = TestBrownout();
-  options.enabled = false;
-  BrownoutController controller(options, &clock);
-  for (int i = 0; i < 128; ++i) controller.RecordCompletion(10'000);
-  EXPECT_EQ(controller.Update(1.0, 1.0), 0);
-  EXPECT_EQ(controller.level(), 0);
-}
-
-// ---- degradation application ------------------------------------------------
-
-AnswerSummary SampleSummary() {
-  AnswerSummary summary;
-  summary.condensed = {"m0", "m2"};
-  summary.detailed = {"(P.id:604, m0)", "(P.id:605, m0)", "(P.id:606, m2)",
-                      "(P.id:607, m2)"};
-  summary.secondary = {"m1"};
-  summary.complete = true;
-  return summary;
-}
-
-TEST(Brownout, OptionCutsPerLevel) {
-  NedExplainOptions base;
-  base.compute_secondary = true;
-  base.keep_tabq_dump = true;
-  NedExplainOptions l0 = base;
-  ApplyBrownoutToOptions(0, &l0);
-  EXPECT_TRUE(l0.compute_secondary);
-  EXPECT_TRUE(l0.keep_tabq_dump);
-  NedExplainOptions l1 = base;
-  ApplyBrownoutToOptions(1, &l1);
-  EXPECT_FALSE(l1.compute_secondary);
-  EXPECT_TRUE(l1.keep_tabq_dump);
-  NedExplainOptions l2 = base;
-  ApplyBrownoutToOptions(2, &l2);
-  EXPECT_FALSE(l2.compute_secondary);
-  EXPECT_FALSE(l2.keep_tabq_dump);
-}
-
-TEST(Brownout, SummaryRenderingIsGoldenPinnedPerLevel) {
-  // L0: byte-identical to the pre-brownout rendering -- the golden files
-  // pinned before brownout existed must never change.
-  AnswerSummary l0 = SampleSummary();
-  ApplyBrownoutToSummary(0, 8, &l0);
-  EXPECT_EQ(l0.ToString(),
-            "condensed=[m0,m2] detailed=4 secondary=[m1] (complete)");
-  EXPECT_EQ(l0.degradation_level, 0);
-  // L1: flagged, nothing truncated.
-  AnswerSummary l1 = SampleSummary();
-  l1.secondary.clear();  // as computed with compute_secondary = false
-  ApplyBrownoutToSummary(1, 8, &l1);
-  EXPECT_EQ(l1.ToString(),
-            "condensed=[m0,m2] detailed=4 secondary=[] (complete) "
-            "degraded=L1:no-secondary");
-  // L2: detailed capped at 2 entries + an honest elision marker.
-  AnswerSummary l2 = SampleSummary();
-  l2.secondary.clear();
-  ApplyBrownoutToSummary(2, 2, &l2);
-  EXPECT_EQ(l2.detailed.size(), 3u);
-  EXPECT_EQ(l2.detailed[2], "... 2 more entries elided (brownout L2)");
-  EXPECT_EQ(l2.ToString(),
-            "condensed=[m0,m2] detailed=3 secondary=[] (complete) "
-            "degraded=L2:condensed-focus");
-  // A cap wider than the listing truncates nothing.
-  AnswerSummary wide = SampleSummary();
-  ApplyBrownoutToSummary(2, 8, &wide);
-  EXPECT_EQ(wide.detailed.size(), 4u);
-  EXPECT_EQ(wide.degradation, "L2:condensed-focus");
-}
-
-// ---- degraded answers vs. full answers on the paper workload ----------------
-
-/// Differential contract of the ladder on all 19 use cases: an L1/L2 answer
-/// is a *projection* of the full answer -- identical condensed and detailed
-/// content (modulo the L2 rendering cap, which must be a prefix plus an
-/// elision marker), with only the secondary answer dropped. Brownout may
-/// never change which subqueries are blamed.
-TEST(BrownoutDifferential, DegradedAnswersAreProjectionsOfFullAnswers) {
-  auto registry = UseCaseRegistry::Build();
-  ASSERT_TRUE(registry.ok());
-  constexpr size_t kDetailedCap = 4;
-  for (const UseCase& uc : registry->use_cases()) {
-    SCOPED_TRACE(uc.name);
-    const Database& db = registry->database(uc.db_name);
-    auto tree_full = registry->BuildTree(uc);
-    ASSERT_TRUE(tree_full.ok());
-
-    NedExplainOptions full_options;
-    full_options.compute_secondary = true;
-    auto full_engine = NedExplainEngine::Create(&*tree_full, &db, full_options);
-    ASSERT_TRUE(full_engine.ok());
-    auto full_result = full_engine->Explain(uc.question, nullptr);
-    ASSERT_TRUE(full_result.ok()) << full_result.status().ToString();
-    const AnswerSummary full = SummarizeResult(*full_engine, *full_result);
-
-    for (int level = 1; level <= 2; ++level) {
-      auto tree = registry->BuildTree(uc);
-      ASSERT_TRUE(tree.ok());
-      NedExplainOptions options = full_options;
-      ApplyBrownoutToOptions(level, &options);
-      auto engine = NedExplainEngine::Create(&*tree, &db, options);
-      ASSERT_TRUE(engine.ok());
-      auto result = engine->Explain(uc.question, nullptr);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      AnswerSummary degraded = SummarizeResult(*engine, *result);
-      ApplyBrownoutToSummary(level, kDetailedCap, &degraded);
-
-      EXPECT_EQ(degraded.degradation_level, level);
-      // The blame set survives every rung.
-      EXPECT_EQ(degraded.condensed, full.condensed);
-      EXPECT_EQ(degraded.dir_total, full.dir_total);
-      EXPECT_EQ(degraded.indir_total, full.indir_total);
-      // Secondary answers are the cut.
-      EXPECT_TRUE(degraded.secondary.empty());
-      if (level == 1) {
-        EXPECT_EQ(degraded.detailed, full.detailed);
-      } else if (full.detailed.size() <= kDetailedCap) {
-        EXPECT_EQ(degraded.detailed, full.detailed);
-      } else {
-        // Capped rendering: a strict prefix of the full listing plus the
-        // elision marker, which states exactly how much was dropped.
-        ASSERT_EQ(degraded.detailed.size(), kDetailedCap + 1);
-        for (size_t i = 0; i < kDetailedCap; ++i) {
-          EXPECT_EQ(degraded.detailed[i], full.detailed[i]);
-        }
-        EXPECT_NE(degraded.detailed.back().find("elided"), std::string::npos);
-      }
-    }
-  }
 }
 
 }  // namespace

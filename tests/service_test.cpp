@@ -1,12 +1,12 @@
 /// \file service_test.cpp
 /// \brief The concurrent why-not service: admission control, priority
 /// scheduling with fair-share quotas, queue expiry, snapshot isolation,
-/// watchdog cancellation, circuit breakers, brownout degradation,
-/// retry/backoff and exactly-once responses.
+/// watchdog cancellation, circuit breakers, retry/backoff and exactly-once
+/// responses.
 ///
-/// Time-driven behaviour (queue expiry, breaker probes, brownout holds) is
-/// tested against an injected ManualClock, so those tests assert on exact
-/// instants instead of sleeping.
+/// Time-driven behaviour (queue expiry, breaker probes) is tested against an
+/// injected ManualClock, so those tests assert on exact instants instead of
+/// sleeping.
 ///
 /// Built with -DNED_TSAN=ON these tests double as the ThreadSanitizer audit
 /// of the shared ExecContext state (atomic cancellation/step counters) and
@@ -664,60 +664,6 @@ TEST(Breaker, OpensOnPoisonThenHealsViaReloadAndProbe) {
   EXPECT_EQ(breaker.fast_fails, 2u);
   EXPECT_EQ(breaker.tracked_keys, 0u);  // healthy keys cost nothing
   EXPECT_EQ(service.stats().breaker_fast_fails, 2u);
-}
-
-// ---- brownout: degrade under pressure, shed L3, never cache ----------------
-
-TEST(Brownout, DegradesUnderQueuePressureAndKeepsDegradedAnswersUncached) {
-  ManualClock clock;
-  ServiceOptions options;
-  options.workers = 1;
-  options.queue_capacity = 4;
-  options.clock = &clock;
-  options.brownout.enabled = true;
-  WhyNotService service(MakeCatalog(), options);
-  auto blk = service.Submit(SlowRequest("blk", 50));
-  ASSERT_TRUE(blk.status.ok());
-  WaitForEmptyQueue(service);
-  // Fill the queue: pressure climbs with every submission. Long deadlines
-  // keep the queued work alive across the manual-clock advance below.
-  std::vector<std::shared_future<WhyNotResponse>> queued;
-  for (int i = 0; i < 4; ++i) {
-    WhyNotRequest req = TinyRequest(StrCat("t", i));
-    req.deadline_ms = 100'000;
-    auto sub = service.Submit(std::move(req));
-    ASSERT_TRUE(sub.status.ok()) << sub.status.ToString();
-    queued.push_back(sub.response);
-  }
-  // Queue now at capacity: the ladder reads full pressure and steps to L3,
-  // where non-interactive work is shed outright.
-  WhyNotRequest batch = TinyRequest("batch");
-  batch.priority = Priority::kBatch;
-  batch.deadline_ms = 100'000;
-  auto shed = service.Submit(std::move(batch));
-  EXPECT_EQ(shed.status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(service.brownout_level(), 3);
-  // Free the worker; the queued interactive work drains at L3 (step-down
-  // needs a hold period of manual time that never elapses here).
-  clock.AdvanceMs(60);
-  for (auto& f : queued) {
-    WhyNotResponse resp = f.get();
-    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-    EXPECT_TRUE(resp.answer.complete);
-    EXPECT_EQ(resp.answer.degradation_level, 3);
-    EXPECT_EQ(resp.answer.degradation, "L3:condensed-focus");
-    EXPECT_TRUE(resp.answer.secondary.empty());
-    EXPECT_FALSE(resp.served_from_answer_cache);
-  }
-  blk.response.get();
-  service.Shutdown();
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.shed_brownout, 1u);
-  EXPECT_EQ(stats.degraded, 4u);
-  // The honesty gate: complete-but-degraded answers never enter the answer
-  // cache, so a later cache hit is always full quality.
-  EXPECT_EQ(stats.degraded_not_cached, 4u);
-  EXPECT_EQ(stats.answer_cache_inserts, 0u);
 }
 
 // ---- retry: cross-attempt budget + priority-aware backoff ------------------

@@ -183,8 +183,6 @@ uint64_t ContentHash(const AnswerSummary& summary) {
   ned::wire::PutU8(&bytes, summary.complete ? 1 : 0);
   ned::wire::PutU8(&bytes, static_cast<uint8_t>(summary.tripped));
   ned::wire::PutStr(&bytes, summary.completeness);
-  ned::wire::PutU8(&bytes, static_cast<uint8_t>(summary.degradation_level));
-  ned::wire::PutStr(&bytes, summary.degradation);
   return ned::Fnv1a64(bytes);
 }
 
@@ -271,10 +269,7 @@ int RunChildServe(const std::string& dir, int cycle) {
           service.Submit(CaseRequest(wl, i, key));
       if (!sub.status.ok()) continue;
       const WhyNotResponse resp = sub.response.get();
-      if (!resp.status.ok() || !resp.answer.complete ||
-          resp.answer.degradation_level != 0) {
-        continue;
-      }
+      if (!resp.status.ok() || !resp.answer.complete) continue;
       // The client has the answer in hand: this is the ack the crash must
       // not lose and recovery must reproduce byte-identically.
       const std::string line =
@@ -629,10 +624,9 @@ bool RunKillCycle(const std::string& exe, const std::string& dir, int cycle,
       continue;
     }
     const WhyNotResponse resp = sub.response.get();
-    if (!resp.status.ok() || !resp.answer.complete ||
-        resp.answer.degradation_level != 0) {
+    if (!resp.status.ok() || !resp.answer.complete) {
       (*fail)(ned::StrCat("cycle ", cycle, ": acked key ", ack.key,
-                          " recovered degraded or failed"));
+                          " recovered partial or failed"));
       continue;
     }
     if (FullHash(resp.answer) != ack.hash) {

@@ -8,9 +8,8 @@
 /// sheds under a deliberately small queue, concurrent copy-on-write catalog
 /// reloads, mixed priority classes (client i gets class i%3 with per-class
 /// deadline regimes; three clients share one "hot" fair-share id above its
-/// quota), brownout pressure (enabled ladder under the small queue) and a
-/// dedicated sequential poison injector firing uncompilable queries at the
-/// per-key circuit breakers. Asserts, at the end of the run:
+/// quota) and a dedicated sequential poison injector firing uncompilable
+/// queries at the per-key circuit breakers. Asserts, at the end of the run:
 ///
 ///   - zero crashes (reaching the final report at all),
 ///   - zero lost or duplicated responses: every submitted logical request
@@ -20,21 +19,18 @@
 ///   - every shed or transiently-failed request eventually succeeded via
 ///     the retry policy (clients stop submitting new work at the horizon,
 ///     so retries always find capacity),
-///   - bounded p99 latency: queue wait + execution stays within the largest
-///     request deadline plus scheduling slack,
+///   - bounded p99 latency: queue wait + execution of executed requests
+///     stays within the largest request deadline plus scheduling slack,
 ///   - honest caching: answer-cache hits seen by clients equal the hits the
 ///     service recorded, the exactly-once books still balance with the
-///     caches on (hits are neither accepted nor completed), and full runs
-///     actually exercise the cached path (~half the traffic bypasses the
+///     caches on (hits are neither accepted nor completed), and every run
+///     actually exercises the cached path (~half the traffic bypasses the
 ///     answer cache so the execute path stays under chaos too),
-///   - honest degradation: clients saw exactly as many degraded answers as
-///     the service computed, and no degraded answer was ever replayed from
-///     the answer cache,
 ///   - bounded poison: a query that can never compile executes at most
 ///     (threshold + failed probes) times per content key -- everything else
 ///     fast-fails on an open breaker,
 ///   - no starvation: every client, of every priority class, completed at
-///     least one answered request despite quotas, brownout and poison,
+///     least one answered request despite quotas and poison,
 ///   - reconciled expiry: queue-expired finals seen by clients equal the
 ///     service's expired_in_queue count.
 ///
@@ -116,7 +112,6 @@ struct Args {
   std::string inject = "all";  // all | none | engine | service
   uint64_t seed = 1;
   int scale = 1;
-  bool smoke = false;
   /// When non-empty, the service runs with the write-ahead journal and
   /// durable answer store rooted here (and recovers from it on startup).
   std::string persist_dir;
@@ -153,16 +148,14 @@ struct ClientTally {
   /// (never dispatched). Not permanent errors: the load, not the request,
   /// was at fault.
   uint64_t expired = 0;
-  /// OK responses carrying a brownout degradation flag.
-  uint64_t degraded_seen = 0;
-  /// Degraded responses served from the answer cache -- must never happen.
-  uint64_t degraded_from_cache = 0;
   /// Responses replayed from the content-addressed answer cache at Submit.
   uint64_t cache_served = 0;
   /// Requests that explicitly bypassed the answer cache (~half the traffic,
   /// so both the cached and the executed path stay under chaos).
   uint64_t cache_bypassed = 0;
-  std::vector<double> latencies_ms;  // queue + exec of final responses
+  /// Queue + exec of final responses that a worker executed: tier hits are
+  /// served at Submit and would only dilute the tail with zeros.
+  std::vector<double> latencies_ms;
   /// Permanent-error diagnosis: "<case>: <status>" -> count. Printed on
   /// failure so a violated zero-permanent-errors invariant names the culprit.
   std::map<std::string, uint64_t> error_kinds;
@@ -201,7 +194,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (i + 1 >= argc) return false;
       args->metrics_out = argv[++i];
     } else if (arg == "--smoke") {
-      args->smoke = true;
       args->clients = 4;
       args->seconds = 2;
       args->workers = 2;
@@ -243,9 +235,9 @@ void ClientLoop(int client_id, const Args& args, WhyNotService* service,
                                         ? std::string("hot")
                                         : ned::StrCat("c", client_id);
   RetryPolicy policy;
-  // Effectively unbounded: brownout L3 can shed non-interactive work for as
-  // long as the overload lasts, so convergence must be allowed to wait for
-  // the post-horizon drain. The exhausted==0 invariant still bites.
+  // Effectively unbounded: queue and quota sheds last as long as the
+  // overload does, so convergence must be allowed to wait for the
+  // post-horizon drain. The exhausted==0 invariant still bites.
   policy.max_attempts = 500;
   policy.initial_backoff_ms = 1;
   policy.max_backoff_ms = 50;
@@ -324,19 +316,16 @@ void ClientLoop(int client_id, const Args& args, WhyNotService* service,
       continue;
     }
     if (outcome.response.served_from_answer_cache) ++tally->cache_served;
-    if (outcome.response.answer.degradation_level > 0) {
-      ++tally->degraded_seen;
-      if (outcome.response.served_from_answer_cache) {
-        ++tally->degraded_from_cache;
-      }
-    }
     if (outcome.response.answer.complete) {
       ++tally->ok_complete;
     } else {
       ++tally->ok_partial;
     }
-    tally->latencies_ms.push_back(outcome.response.queue_ms +
-                                  outcome.response.exec_ms);
+    if (!outcome.response.served_from_answer_cache &&
+        !outcome.response.served_from_answer_store) {
+      tally->latencies_ms.push_back(outcome.response.queue_ms +
+                                    outcome.response.exec_ms);
+    }
   }
 }
 
@@ -396,16 +385,14 @@ void HogLoop(const Args& args, WhyNotService* service,
         continue;
       }
       if (resp.served_from_answer_cache) ++tally->cache_served;
-      if (resp.answer.degradation_level > 0) {
-        ++tally->degraded_seen;
-        if (resp.served_from_answer_cache) ++tally->degraded_from_cache;
-      }
       if (resp.answer.complete) {
         ++tally->ok_complete;
       } else {
         ++tally->ok_partial;
       }
-      tally->latencies_ms.push_back(resp.queue_ms + resp.exec_ms);
+      if (!resp.served_from_answer_cache && !resp.served_from_answer_store) {
+        tally->latencies_ms.push_back(resp.queue_ms + resp.exec_ms);
+      }
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -547,9 +534,7 @@ int Run(const Args& args) {
   options.memory_watermark_bytes =
       static_cast<size_t>(args.workers + static_cast<int>(args.queue)) *
       (64u << 20);
-  // The full overload-resilience surface is on: brownout ladder fed by the
-  // deliberately small queue, and breakers for the poison injector.
-  options.brownout.enabled = true;
+  // Breakers are on for the poison injector.
   options.breaker.failure_threshold = 3;
   options.breaker.probe_interval_ms = 100;
   if (!args.persist_dir.empty()) options.persist_dir = args.persist_dir;
@@ -649,8 +634,6 @@ int Run(const Args& args) {
     total.retried_to_success += t.retried_to_success;
     total.duplicate_finals += t.duplicate_finals;
     total.expired += t.expired;
-    total.degraded_seen += t.degraded_seen;
-    total.degraded_from_cache += t.degraded_from_cache;
     total.cache_served += t.cache_served;
     total.cache_bypassed += t.cache_bypassed;
     for (const auto& [kind, count] : t.error_kinds) {
@@ -667,7 +650,6 @@ int Run(const Args& args) {
   std::cout << "requests          : " << total.requests << "\n"
             << "  complete answers: " << total.ok_complete << "\n"
             << "  partial answers : " << total.ok_partial << "\n"
-            << "  degraded answers: " << total.degraded_seen << "\n"
             << "  expired in queue: " << total.expired << "\n"
             << "  permanent errors: " << total.permanent_errors << "\n"
             << "  retried->success: " << total.retried_to_success << "\n"
@@ -688,10 +670,7 @@ int Run(const Args& args) {
             << " shed_queue=" << stats.shed_queue_full
             << " shed_mem=" << stats.shed_memory
             << " shed_quota=" << stats.shed_client_quota
-            << " shed_brownout=" << stats.shed_brownout
             << " expired=" << stats.expired_in_queue
-            << " degraded=" << stats.degraded
-            << " degraded_not_cached=" << stats.degraded_not_cached
             << " completed=" << stats.completed
             << " transient_injected=" << stats.transient_failures
             << " watchdog_cancels=" << stats.watchdog_cancels << "\n"
@@ -787,25 +766,24 @@ int Run(const Args& args) {
                      " cache-served responses but the service recorded ",
                      stats.answer_cache_hits, " answer-cache hits"));
   }
-  // Full runs must actually exercise the cached path: with half the traffic
-  // cache-eligible and the case list repeating, zero hits means the answer
-  // cache silently stopped serving -- unless brownout legitimately kept
-  // every complete answer out of it (under this harness's deliberately
-  // tiny queue the ladder can sit at L1+ for the whole run).
-  if (!args.smoke && service.options().answer_cache_bytes > 0 &&
-      stats.answer_cache_hits == 0 && stats.degraded_not_cached == 0) {
-    fail("no answer-cache hits over a full run (and brownout wasn't why)");
+  // Every run must actually exercise the cached path: with half the
+  // traffic cache-eligible and the case list repeating, zero hits means the
+  // answer cache silently stopped serving.
+  if (service.options().answer_cache_bytes > 0 &&
+      stats.answer_cache_hits == 0) {
+    fail("no answer-cache hits over the run");
   }
   // Bounded tail latency: an accepted request's end-to-end time is capped
   // by its deadline (queue wait included; background deadlines go to 2s);
-  // allow scheduling + checkpoint overshoot slack.
+  // allow scheduling + checkpoint overshoot slack. Tier hits never reach a
+  // worker, so the samples are executed requests only.
   const double latency_bound_ms = 2000 + 500;
   if (p99 > latency_bound_ms) {
     fail(ned::StrCat("p99 latency ", p99, " ms exceeds bound ",
                      latency_bound_ms, " ms"));
   }
   if (total.requests == 0) fail("no requests completed");
-  // No starvation: quotas, brownout and the priority queue may delay any
+  // No starvation: quotas and the priority queue may delay any
   // one client, but every client of every class must land answers.
   for (size_t i = 0; i < tallies.size(); ++i) {
     if (tallies[i].ok_complete + tallies[i].ok_partial == 0) {
@@ -819,18 +797,6 @@ int Run(const Args& args) {
   // hot clients converged through them via retry).
   if (stats.shed_client_quota == 0) {
     fail("hot client was never quota-shed");
-  }
-  // Honest degradation, reconciled both ways: every degraded answer the
-  // service computed reached exactly one client, and none was replayed
-  // from the answer cache (degraded answers must never be cached).
-  if (total.degraded_seen != stats.degraded) {
-    fail(ned::StrCat("clients saw ", total.degraded_seen,
-                     " degraded answers but the service computed ",
-                     stats.degraded));
-  }
-  if (total.degraded_from_cache != 0) {
-    fail(ned::StrCat(total.degraded_from_cache,
-                     " degraded answers served from the answer cache"));
   }
   // Queue-expiry reconciliation: every expired final the service recorded
   // was observed by exactly one client (or the poison injector).
@@ -879,7 +845,7 @@ int Run(const Args& args) {
   if (failures == 0) {
     std::cout << "ned_stress: PASS (zero crashes, exactly-once responses, "
                  "all retries converged, p99 bounded, no starvation, "
-                 "degradation honest, poison breaker-bounded)\n";
+                 "answer tier served, poison breaker-bounded)\n";
     return 0;
   }
   std::cerr << "ned_stress: FAIL (" << failures << " violations)\n";
