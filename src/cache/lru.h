@@ -2,10 +2,10 @@
 /// \brief Byte-budgeted LRU map, the shared eviction engine of src/cache/.
 ///
 /// Both users (SubtreeCache over materialized evaluator outputs, and the
-/// answer tier's memory half over complete AnswerSummary results,
-/// persist/answer_store.h) are bounded by *bytes*, not entry counts, because
-/// their values vary by orders of magnitude (a two-row select output vs a
-/// 90k-row cross join). Keys are full canonical
+/// answer tier's memory half over complete AnswerSummary results and
+/// permanent errors, persist/answer_store.h) are bounded by *bytes*, not
+/// entry counts, because their values vary by orders of magnitude (a
+/// two-row select output vs a 90k-row cross join). Keys are full canonical
 /// strings rather than 64-bit digests, so equal keys imply equal cached
 /// content by construction -- no hash-collision audit needed -- and key bytes
 /// are charged against the budget alongside value bytes.

@@ -38,10 +38,10 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 /// string literals keep their exact bytes and case.
 std::string NormalizeSqlText(std::string_view sql);
 
-/// SQL text that has been through NormalizeSqlText. The content keys
-/// (MakeBreakerKey, MakeDurableAnswerKey) take this type, so one
-/// normalization serves every key a request needs; the implicit
-/// conversions normalize raw text on the way in.
+/// SQL text that has been through NormalizeSqlText. The answer tier's
+/// content key (MakeDurableAnswerKey) takes this type, so it can never be
+/// built from unnormalized text; the implicit conversions normalize raw
+/// text on the way in.
 class NormalizedSql {
  public:
   NormalizedSql() = default;

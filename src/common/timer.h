@@ -18,8 +18,9 @@
 namespace ned {
 
 /// Injectable time source: the virtual now() seam that lets the service's
-/// time-driven behaviour (queue expiry, breaker half-open probes, watchdog
-/// deadlines) run against a test-controlled clock instead of wall time.
+/// time-driven behaviour (queue expiry, request deadlines checked at the
+/// engine's checkpoints) run against a test-controlled clock instead of
+/// wall time.
 /// Production code passes nullptr / Clock::Real() and pays one virtual call
 /// per read; tests inject a ManualClock and advance it explicitly, so expiry
 /// tests assert on exact instants instead of sleeping.

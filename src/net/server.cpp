@@ -489,7 +489,7 @@ struct HttpServer::Impl {
           queue->Push(Completion{conn_id, response});
         });
     if (!sub.status.ok()) {
-      // Shed / breaker fast-fail / permanent rejection: resolved here and
+      // Shed / remembered error / permanent rejection: resolved here and
       // now, no callback will fire.
       std::vector<std::pair<std::string, std::string>> headers;
       const int status = HttpStatusForCode(sub.status.code());

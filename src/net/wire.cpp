@@ -598,9 +598,6 @@ std::string RenderWhyNotResponseJson(const WhyNotResponse& response,
   if (response.expired_in_queue) {
     AppendBoolField(&out, "expired_in_queue", true, &first);
   }
-  if (response.breaker_fast_fail) {
-    AppendBoolField(&out, "breaker_fast_fail", true, &first);
-  }
   if (deduped) AppendBoolField(&out, "deduped", true, &first);
   if (response.trace != nullptr) {
     AppendStringField(&out, "trace", response.trace->RenderStructure(),

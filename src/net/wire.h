@@ -67,7 +67,7 @@ std::string RenderWhyNotResponseJson(const WhyNotResponse& response,
 
 /// Renders the response body for a submission resolved synchronously
 /// without a WhyNotResponse: sheds (kUnavailable + retry_after_ms),
-/// breaker fast-fails and permanent rejections.
+/// remembered-error fast-fails and permanent rejections.
 std::string RenderSubmissionErrorJson(const Status& status,
                                       int64_t retry_after_ms,
                                       bool breaker_fast_fail);
@@ -87,6 +87,7 @@ struct WireResponse {
   bool served_from_answer_cache = false;
   bool served_from_answer_store = false;
   bool expired_in_queue = false;
+  /// Submission::breaker_fast_fail of a synchronous rejection.
   bool breaker_fast_fail = false;
   bool deduped = false;
   /// Trace structure rendering ("" when the request did not ask for one).

@@ -4,8 +4,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
 
 #include "common/atomic_file.h"
 #include "common/csv.h"
@@ -18,7 +16,6 @@ namespace ned {
 namespace {
 
 constexpr char kEntryMagic[8] = {'N', 'E', 'D', 'A', 'N', 'S', 'W', '1'};
-constexpr char kManifestHeader[] = "NEDSTORE-MANIFEST v1";
 
 Status CrashStatus(const char* where) {
   return Status::Unavailable(std::string("crash injected: ") + where);
@@ -42,31 +39,6 @@ std::string HexU64(uint64_t v) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
-}
-
-/// Temp-file + rename with crash injection at the store's IO boundaries.
-/// `torn` leaves a half-written temp file behind (Open sweeps those);
-/// `before_rename` leaves a complete temp file that was never published.
-Status WriteFileWithCrash(const std::string& path, const std::string& content,
-                          bool fsync, CrashInjector* crash, CrashPoint torn,
-                          CrashPoint before_rename) {
-  const std::string tmp = path + ".tmp";
-  if (crash != nullptr && crash->ShouldCrash(torn)) {
-    // Emulate the torn temp write: a prefix of the bytes under the temp
-    // name, never renamed. Open() sweeps it on the next start.
-    (void)AtomicWriteFile(tmp, content.substr(0, content.size() / 2), false);
-    return CrashStatus("torn temp write");
-  }
-  NED_RETURN_NOT_OK(AtomicWriteFile(tmp, content, fsync));
-  if (crash != nullptr && crash->ShouldCrash(before_rename)) {
-    return CrashStatus("before rename");
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    (void)::unlink(tmp.c_str());
-    return Status::Internal("rename failed onto " + path);
-  }
-  if (fsync) (void)FsyncParentDir(path);
-  return Status::OK();
 }
 
 }  // namespace
@@ -121,62 +93,37 @@ Result<std::unique_ptr<AnswerStore>> AnswerStore::Open(
     }
   }
   ::closedir(d);
-
-  // The manifest is advisory provenance; parse leniently and drop
-  // anything malformed rather than failing the open.
-  auto manifest_text = ReadFile(options.dir + "/MANIFEST");
-  if (manifest_text.ok()) {
-    std::istringstream in(*manifest_text);
-    std::string line;
-    StoreManifestEntry current;
-    bool have_db = false;
-    while (std::getline(in, line)) {
-      std::istringstream fields(line);
-      std::string tag;
-      fields >> tag;
-      if (tag == "db") {
-        if (have_db) store->manifest_[current.db_name] = current;
-        current = StoreManifestEntry();
-        std::string fp_hex;
-        fields >> current.db_name >> fp_hex;
-        current.content_fingerprint =
-            std::strtoull(fp_hex.c_str(), nullptr, 16);
-        have_db = !current.db_name.empty();
-      } else if (tag == "rel" && have_db) {
-        StoreManifestEntry::RelationPin pin;
-        fields >> pin.name >> pin.data_version >> pin.rows;
-        if (!pin.name.empty()) current.relations.push_back(std::move(pin));
-      }
-    }
-    if (have_db) store->manifest_[current.db_name] = current;
-  }
   return store;
 }
 
-AnswerStore::Ptr AnswerStore::Get(const std::string& key, obs::Trace* trace,
-                                  bool* from_disk) {
+Result<AnswerStore::Ptr> AnswerStore::Get(const std::string& key,
+                                          obs::Trace* trace, bool* from_disk) {
   *from_disk = false;
   if (has_memory()) {
     std::lock_guard<std::mutex> lock(memory_mu_);
-    if (auto hit = memory_.Get(key)) return *hit;
+    if (auto hit = memory_.Get(key)) return std::move(*hit);
   }
-  if (!durable()) return nullptr;
+  if (!durable()) return Ptr();
   auto stored = [&] {
     obs::SpanScope span(trace, "store_lookup");
     return Lookup(key);
   }();
-  if (!stored.ok()) return nullptr;
+  if (!stored.ok()) return Ptr();
   auto answer = std::make_shared<const AnswerSummary>(std::move(*stored));
-  Remember(key, answer);
+  Remember(key, answer, ApproxAnswerBytes(*answer));
   *from_disk = true;
   return answer;
 }
 
-void AnswerStore::Remember(const std::string& key, Ptr answer) {
+void AnswerStore::Remember(const std::string& key, Result<Ptr> entry,
+                           size_t bytes) {
   if (!has_memory()) return;
-  const size_t bytes = ApproxAnswerBytes(*answer);
   std::lock_guard<std::mutex> lock(memory_mu_);
-  memory_.Put(key, std::move(answer), bytes);
+  memory_.Put(key, std::move(entry), bytes);
+}
+
+void AnswerStore::PutError(const std::string& key, const Status& error) {
+  Remember(key, error, sizeof(Status) + error.message().size());
 }
 
 LruStats AnswerStore::memory_stats() const {
@@ -253,9 +200,8 @@ bool AnswerStore::Contains(const std::string& key) const {
   return entry_files_.count(EntryFileName(key)) > 0;
 }
 
-Status AnswerStore::Put(const std::string& key, Ptr answer,
-                        const StoreManifestEntry& manifest) {
-  Remember(key, answer);
+Status AnswerStore::Put(const std::string& key, Ptr answer) {
+  Remember(key, answer, ApproxAnswerBytes(*answer));
   if (!durable()) return Status::OK();
   std::string payload;
   wire::PutStr(&payload, key);
@@ -264,39 +210,32 @@ Status AnswerStore::Put(const std::string& key, Ptr answer,
   wire::PutU32(&content, Crc32(payload));
   content += payload;
 
+  // Temp file + rename, with crash injection at each IO boundary.
   std::lock_guard<std::mutex> lock(mu_);
   CrashInjector* crash = options_.crash;
   if (crash != nullptr && crash->ShouldCrash(CrashPoint::kStoreBeforeTemp)) {
     return CrashStatus("before temp write");
   }
-  NED_RETURN_NOT_OK(WriteFileWithCrash(
-      EntryPath(key), content, options_.fsync, crash,
-      CrashPoint::kStoreTornTemp, CrashPoint::kStoreBeforeRename));
+  const std::string path = EntryPath(key);
+  const std::string tmp = path + ".tmp";
+  if (crash != nullptr && crash->ShouldCrash(CrashPoint::kStoreTornTemp)) {
+    // Emulate the torn temp write: a prefix of the bytes under the temp
+    // name, never renamed. Open() sweeps it on the next start.
+    (void)AtomicWriteFile(tmp, content.substr(0, content.size() / 2), false);
+    return CrashStatus("torn temp write");
+  }
+  NED_RETURN_NOT_OK(AtomicWriteFile(tmp, content, options_.fsync));
+  if (crash != nullptr && crash->ShouldCrash(CrashPoint::kStoreBeforeRename)) {
+    return CrashStatus("before rename");
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    (void)::unlink(tmp.c_str());
+    return Status::Internal("rename failed onto " + path);
+  }
+  if (options_.fsync) (void)FsyncParentDir(path);
   ++entry_files_[EntryFileName(key)];  // index + bump the put generation
   ++stats_.puts;
-  manifest_[manifest.db_name] = manifest;
-  if (crash != nullptr &&
-      crash->ShouldCrash(CrashPoint::kStoreBeforeManifest)) {
-    // Entry is durable and indexed; only the advisory manifest is stale.
-    return CrashStatus("before manifest write");
-  }
-  return WriteManifestLocked();
-}
-
-Status AnswerStore::WriteManifestLocked() {
-  std::string text(kManifestHeader);
-  text += '\n';
-  for (const auto& [db_name, entry] : manifest_) {
-    text += StrCat("db ", db_name, " ", HexU64(entry.content_fingerprint),
-                   "\n");
-    for (const auto& pin : entry.relations) {
-      text += StrCat("rel ", pin.name, " ", pin.data_version, " ", pin.rows,
-                     "\n");
-    }
-  }
-  return WriteFileWithCrash(options_.dir + "/MANIFEST", text, options_.fsync,
-                            options_.crash, CrashPoint::kStoreTornTemp,
-                            CrashPoint::kStoreBeforeManifestRename);
+  return Status::OK();
 }
 
 AnswerStoreStats AnswerStore::stats() const {

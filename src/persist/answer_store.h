@@ -14,6 +14,12 @@
 /// Only COMPLETE answers are ever put -- never partial (tripped) results --
 /// so a hit is always byte-identical to an uninterrupted recomputation.
 ///
+/// A permanent error of the content (a bind or type error: not transient,
+/// not a resource limit) depends on nothing else either, so the memory half
+/// also remembers it under the same key, and Get returns it in place of an
+/// answer. Errors never reach the disk half: a restart forgets them, and a
+/// reload that changes the data stops producing their keys.
+///
 /// The memory half (`memory_bytes`, cache/lru.h) holds shared immutable
 /// summaries; Get hands out the tier's own pointer, and a disk hit is
 /// promoted into memory. The disk half (`dir`) is optional. Layout:
@@ -22,21 +28,17 @@
 /// the file name) and the encoded AnswerSummary. Entries are written via
 /// temp-file + atomic rename, so a crash at any instant leaves either no
 /// entry or a complete entry; a torn or bit-flipped entry fails its CRC on
-/// read and is deleted, reported as a miss. `<dir>/MANIFEST` (rewritten
-/// atomically after each put) pins, for every database that contributed
-/// answers, its content fingerprint and per-relation data_versions --
-/// provenance for operators inspecting the store.
+/// read and is deleted, reported as a miss. Anything else under `<dir>`
+/// (such as the `MANIFEST` older binaries wrote) is ignored.
 
 #ifndef NED_PERSIST_ANSWER_STORE_H_
 #define NED_PERSIST_ANSWER_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "cache/lru.h"
 #include "common/status.h"
@@ -64,23 +66,10 @@ struct AnswerStoreOptions {
   size_t memory_bytes = 0;
   /// Directory of the disk half; empty = no disk half.
   std::string dir;
-  /// fsync entry files and the manifest (power-loss durability; process
-  /// death alone never needs it).
+  /// fsync entry files (power-loss durability; process death alone never
+  /// needs it).
   bool fsync = false;
   CrashInjector* crash = nullptr;
-};
-
-/// Provenance recorded in the manifest for one database.
-struct StoreManifestEntry {
-  std::string db_name;
-  uint64_t content_fingerprint = 0;
-  /// (relation name, data_version, row count) at the time of the put.
-  struct RelationPin {
-    std::string name;
-    uint64_t data_version = 0;
-    uint64_t rows = 0;
-  };
-  std::vector<RelationPin> relations;
 };
 
 /// Disk-half counters (all zero without a directory).
@@ -105,10 +94,11 @@ class AnswerStore {
       const AnswerStoreOptions& options);
 
   /// The tier lookup: the memory half, then the disk half, whose hit is
-  /// promoted into memory. Returns the tier's own pointer, or nullptr on a
-  /// miss; `*from_disk` tells which half answered. The entry-file read is
-  /// traced as "store_lookup".
-  Ptr Get(const std::string& key, obs::Trace* trace, bool* from_disk);
+  /// promoted into memory. Returns the tier's own pointer (nullptr on a
+  /// miss), or the permanent error the memory half remembers for `key`;
+  /// `*from_disk` tells which half answered. The entry-file read is traced
+  /// as "store_lookup".
+  Result<Ptr> Get(const std::string& key, obs::Trace* trace, bool* from_disk);
 
   /// Reads `key`'s entry file (the disk half alone: no memory lookup, no
   /// promotion), or kNotFound. A corrupt entry is deleted and reported as
@@ -120,14 +110,16 @@ class AnswerStore {
   bool Contains(const std::string& key) const;
 
   /// Inserts `answer` into the memory half and, with a directory, writes
-  /// its entry file and records `manifest` provenance; the status is the
-  /// disk write's. Idempotent: re-putting a key rewrites the same bytes.
-  Status Put(const std::string& key, Ptr answer,
-             const StoreManifestEntry& manifest);
-  Status Put(const std::string& key, const AnswerSummary& summary,
-             const StoreManifestEntry& manifest) {
-    return Put(key, std::make_shared<const AnswerSummary>(summary), manifest);
+  /// its entry file; the status is the disk write's. Idempotent: re-putting
+  /// a key rewrites the same bytes.
+  Status Put(const std::string& key, Ptr answer);
+  Status Put(const std::string& key, const AnswerSummary& summary) {
+    return Put(key, std::make_shared<const AnswerSummary>(summary));
   }
+
+  /// Remembers `error`, a permanent error of `key`'s content, in the memory
+  /// half (a no-op without one); Get then returns it until it is evicted.
+  void PutError(const std::string& key, const Status& error);
 
   bool has_memory() const { return options_.memory_bytes > 0; }
   bool durable() const { return !options_.dir.empty(); }
@@ -143,16 +135,16 @@ class AnswerStore {
  private:
   explicit AnswerStore(const AnswerStoreOptions& options);
 
-  void Remember(const std::string& key, Ptr answer);
-  Status WriteManifestLocked();
+  void Remember(const std::string& key, Result<Ptr> entry, size_t bytes);
   std::string EntryPath(const std::string& key) const;
 
   const AnswerStoreOptions options_;
 
   mutable std::mutex memory_mu_;
-  ByteBudgetLru<Ptr> memory_;  ///< guarded by memory_mu_
+  /// An answer or a remembered permanent error per key.
+  ByteBudgetLru<Result<Ptr>> memory_;  ///< guarded by memory_mu_
 
-  /// Guards the disk half's index, manifest and counters.
+  /// Guards the disk half's index and counters.
   mutable std::mutex mu_;
   /// Indexed entry file names (no dir) -> put generation. The generation
   /// bumps on every Put of that name; Lookup reads the entry file with mu_
@@ -160,7 +152,6 @@ class AnswerStore {
   /// during the read -- the stale bytes it saw belong to a file a
   /// concurrent Put has since replaced with a fresh valid entry.
   std::unordered_map<std::string, uint64_t> entry_files_;
-  std::map<std::string, StoreManifestEntry> manifest_;  ///< by db_name
   AnswerStoreStats stats_;
 };
 

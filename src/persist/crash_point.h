@@ -43,10 +43,6 @@ enum class CrashPoint : uint8_t {
   kStoreTornTemp,
   /// Temp file complete, rename not yet issued.
   kStoreBeforeRename,
-  /// Entry renamed into place, manifest not yet rewritten.
-  kStoreBeforeManifest,
-  /// Manifest temp written, rename of the manifest not yet issued.
-  kStoreBeforeManifestRename,
 };
 
 /// Arms at most one (point, countdown) pair. Thread-safe: the journal's

@@ -85,7 +85,6 @@ RetryOutcome SubmitWithRetry(WhyNotService& service, WhyNotRequest request,
     if (submission.status.ok()) {
       WhyNotResponse response = submission.response.get();
       if (!response.retryable()) {
-        outcome.breaker_fast_fail = response.breaker_fast_fail;
         outcome.response = std::move(response);
         return outcome;
       }

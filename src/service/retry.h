@@ -86,8 +86,8 @@ struct RetryOutcome {
   /// True when `overall_deadline_ms` ran out across attempts; the response
   /// carries kDeadlineExceeded.
   bool deadline_exhausted = false;
-  /// True when the final outcome was a circuit-breaker fast-fail (either a
-  /// synchronous Submit rejection or a worker-side short-circuit).
+  /// True when Submit rejected the request with the permanent error the
+  /// answer tier remembers for its content (Submission::breaker_fast_fail).
   bool breaker_fast_fail = false;
 };
 

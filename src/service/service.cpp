@@ -20,6 +20,17 @@ double MsSince(Clock::TimePoint start, Clock::TimePoint end) {
 /// Completed responses the idempotency book keeps (FIFO evicted).
 constexpr size_t kCompletedBookCapacity = 1 << 16;
 
+/// How often the watchdog fails queued requests whose deadline passed.
+constexpr int64_t kWatchdogIntervalMs = 2;
+
+/// True for an error the same content would produce again: not transient
+/// (kUnavailable) and not a resource limit, which depends on the budgets
+/// and the clock, not on the content.
+bool IsPermanentError(const Status& status) {
+  return !status.ok() && status.code() != StatusCode::kUnavailable &&
+         !IsResourceLimit(status);
+}
+
 /// Packs the NedExplainOptions bits that change answer content into the
 /// answer-tier key. keep_tabq_dump is excluded: it only affects the
 /// NedExplainResult dump, never the AnswerSummary the tier holds.
@@ -50,14 +61,11 @@ uint64_t AutoKeyNumber(const std::string& key) {
 
 /// One admitted request: everything its execution needs, pinned at
 /// admission. The shared_ptr is held by the scheduler, the in-flight map
-/// and (transiently) the executing worker; the watchdog reaches the
+/// and (transiently) the executing worker; Drain and Shutdown reach the
 /// ExecContext through the in-flight map under the service mutex.
 struct WhyNotService::Job {
   WhyNotRequest request;
   Catalog::Snapshot snapshot;
-  /// Normalized content key for the circuit breaker; empty when breakers
-  /// are disabled.
-  std::string breaker_key;
   /// The answer tier's content key; empty when the tier is off or the
   /// request bypasses it (bypass flag, chaos knobs).
   std::string answer_key;
@@ -77,7 +85,7 @@ struct WhyNotService::Job {
   /// spans, then exactly one worker writes the rest -- the handoff is
   /// sequenced by mu_ (admit under lock, pop under lock), and expired/
   /// drained jobs are likewise owned by one thread after leaving the
-  /// scheduler. The watchdog never touches it.
+  /// scheduler.
   std::shared_ptr<obs::Trace> trace;
   /// Open "queue_wait" span id; closed at dispatch (or defensively by
   /// Finalize for jobs that never reach a worker). -1 = none.
@@ -87,8 +95,7 @@ struct WhyNotService::Job {
   Clock::TimePoint deadline;
   /// Bytes charged against the admission watermark for this request.
   size_t memory_charge = 0;
-  bool running = false;          // guarded by mu_
-  bool watchdog_fired = false;   // guarded by mu_
+  bool running = false;  // guarded by mu_
   std::promise<WhyNotResponse> promise;
   std::shared_future<WhyNotResponse> future;
   /// Push-style completion observers (see WhyNotService::CompletionCallback).
@@ -109,13 +116,11 @@ struct WhyNotService::Admission {
   int32_t span = -1;
   size_t row_budget = 0;
   size_t memory_budget = 0;
-  /// Normalized and rendered once, for both content keys.
-  NormalizedSql sql;
-  std::string question;
-  std::string breaker_key;
   std::string answer_key;
   Catalog::Snapshot snapshot;
-  std::shared_ptr<const AnswerSummary> hit;
+  /// The tier lookup's outcome: an answer, nullptr on a miss, or the
+  /// permanent error this content produced before.
+  Result<AnswerStore::Ptr> hit = AnswerStore::Ptr();
   bool hit_from_disk = false;
   Submission sub;
 
@@ -147,9 +152,6 @@ WhyNotService::WhyNotService(std::shared_ptr<Catalog> catalog,
                          ? std::make_unique<SubtreeCache>(
                                options.subtree_cache_bytes)
                          : nullptr),
-      breaker_(options.breaker.failure_threshold > 0
-                   ? std::make_unique<CircuitBreaker>(options.breaker, clock_)
-                   : nullptr),
       scheduler_(SchedulerOptions{options.queue_capacity,
                                   options.per_client_limit}) {
   NED_CHECK_MSG(catalog_ != nullptr, "service needs a catalog");
@@ -164,7 +166,6 @@ WhyNotService::WhyNotService(std::shared_ptr<Catalog> catalog,
     jopts.segment_bytes = options_.journal_segment_bytes;
     jopts.fsync = options_.journal_fsync;
     jopts.fsync_interval_ms = options_.journal_fsync_interval_ms;
-    jopts.crash = options_.crash_injector;
     auto journal = Journal::Open(jopts, &recovered_records_);
     NED_CHECK_MSG(journal.ok(),
                   "cannot open request journal: " + journal.status().message());
@@ -187,7 +188,6 @@ WhyNotService::WhyNotService(std::shared_ptr<Catalog> catalog,
   if (!options_.persist_dir.empty() && options_.persist_answers) {
     sopts.dir = options_.persist_dir + "/store";
     sopts.fsync = options_.persist_fsync_store;
-    sopts.crash = options_.crash_injector;
   }
   if (sopts.memory_bytes > 0 || !sopts.dir.empty()) {
     auto store = AnswerStore::Open(sopts);
@@ -218,7 +218,6 @@ void WhyNotService::RegisterMetrics() {
   stat_.deduped_inflight = req("deduped_inflight");
   stat_.served_from_cache = req("served_from_completed");
   stat_.transient_failures = req("transient_failure");
-  stat_.watchdog_cancels = req("watchdog_cancel");
   stat_.expired_in_queue = req("expired_in_queue");
   stat_.breaker_fast_fails = req("breaker_fast_fail");
   stat_.partial_not_cached = req("partial_not_cached");
@@ -272,19 +271,6 @@ void WhyNotService::CollectMirrors() {
         ->Set(static_cast<int64_t>(inflight_.size()));
     registry_.GetGauge("ned_admitted_bytes")
         ->Set(static_cast<int64_t>(admitted_bytes_));
-  }
-  if (breaker_ != nullptr) {
-    const CircuitBreaker::Stats b = breaker_->stats();
-    registry_.GetGauge("ned_breaker_opens")->Set(
-        static_cast<int64_t>(b.opens));
-    registry_.GetGauge("ned_breaker_reopens")
-        ->Set(static_cast<int64_t>(b.reopens));
-    registry_.GetGauge("ned_breaker_probes")
-        ->Set(static_cast<int64_t>(b.probes));
-    registry_.GetGauge("ned_breaker_fast_fails")
-        ->Set(static_cast<int64_t>(b.fast_fails));
-    registry_.GetGauge("ned_breaker_tracked_keys")
-        ->Set(static_cast<int64_t>(b.tracked_keys));
   }
   auto mirror_cache = [this](const char* which, const LruStats& s) {
     auto gauge = [&](const char* field) {
@@ -387,13 +373,11 @@ WhyNotService::Submission WhyNotService::SubmitImpl(
     a.request.key = StrCat("auto-", ++next_auto_key_);
   }
   if (KnownKeyLocked(&a)) return a.Finish();
-  // Content work -- normalizing, the breaker, the snapshot pin with its
-  // fingerprint hash, the tier's entry-file read -- runs with mu_
-  // released, so none of it blocks admission, finalization or the watchdog.
+  // Content work -- the snapshot pin with its fingerprint hash, the key,
+  // the tier's entry-file read -- runs with mu_ released, so none of it
+  // blocks admission, finalization or the watchdog.
   lock.unlock();
-  a.sql = a.request.sql;
-  a.question = a.request.question.ToString();
-  if (BreakerFastFails(&a) || PinAndLookUp(&a)) return a.Finish();
+  if (PinAndLookUp(&a)) return a.Finish();
   lock.lock();
   if (KnownKeyLocked(&a) || ServeTierHitLocked(&a) || LoadShedsLocked(&a)) {
     return a.Finish();
@@ -445,24 +429,6 @@ bool WhyNotService::KnownKeyLocked(Admission* a) {
   return false;
 }
 
-bool WhyNotService::BreakerFastFails(Admission* a) {
-  // A content key with an open breaker is rejected synchronously with its
-  // cached permanent error -- no snapshot pin, no admission, no worker.
-  // Probe admission (half-open) is decided at the worker in Execute.
-  if (breaker_ == nullptr) return false;
-  a->breaker_key = MakeBreakerKey(a->request.db_name, a->sql, a->question);
-  CircuitBreaker::Decision decision;
-  {
-    obs::SpanScope span(a->trace.get(), "breaker_check");
-    decision = breaker_->Check(a->breaker_key);
-  }
-  if (decision.gate != CircuitBreaker::Gate::kFastFail) return false;
-  stat_.breaker_fast_fails->Increment();
-  a->sub.status = decision.cached_error;
-  a->sub.breaker_fast_fail = true;
-  return true;
-}
-
 bool WhyNotService::PinAndLookUp(Admission* a) {
   const WhyNotRequest& req = a->request;
   // Chaos-injected requests bypass the tier: their faults must execute.
@@ -494,8 +460,9 @@ bool WhyNotService::PinAndLookUp(Admission* a) {
   // stops producing the old keys, and one that restored answered content
   // hits again.
   a->answer_key = MakeDurableAnswerKey(
-      req.db_name, a->snapshot.content_fingerprint, a->sql, a->question,
-      a->row_budget, a->memory_budget, EngineOptionBits(req.engine_options));
+      req.db_name, a->snapshot.content_fingerprint, req.sql,
+      req.question.ToString(), a->row_budget, a->memory_budget,
+      EngineOptionBits(req.engine_options));
   obs::SpanScope span(a->trace.get(), "answer_cache_lookup");
   a->hit = answer_store_->Get(a->answer_key, a->trace.get(), &a->hit_from_disk);
   return false;
@@ -503,18 +470,28 @@ bool WhyNotService::PinAndLookUp(Admission* a) {
 
 bool WhyNotService::ServeTierHitLocked(Admission* a) {
   if (a->answer_key.empty()) return false;
+  if (!a->hit.ok()) {
+    // This content failed permanently before and would fail the same way
+    // again: reject it with that error, before admission, the journal or a
+    // worker. Neither an answer hit nor a miss.
+    stat_.breaker_fast_fails->Increment();
+    a->sub.status = a->hit.status();
+    a->sub.breaker_fast_fail = true;
+    return true;
+  }
+  const AnswerStore::Ptr& hit = *a->hit;
   // Counted here, after the known-key stage ran again, so every counted
   // hit is a served one.
-  const bool memory_hit = a->hit != nullptr && !a->hit_from_disk;
+  const bool memory_hit = hit != nullptr && !a->hit_from_disk;
   if (answer_store_->has_memory()) {
     (memory_hit ? stat_.answer_cache_hits : stat_.answer_cache_misses)
         ->Increment();
   }
   if (answer_store_->durable() && !memory_hit) {
-    (a->hit != nullptr ? stat_.answer_store_hits : stat_.answer_store_misses)
+    (hit != nullptr ? stat_.answer_store_hits : stat_.answer_store_misses)
         ->Increment();
   }
-  if (a->hit == nullptr) return false;
+  if (hit == nullptr) return false;
   // Served without admission or execution, so the exactly-once books are
   // untouched; the key still enters the idempotency book, so resubmitting
   // it re-serves this response.
@@ -524,8 +501,8 @@ bool WhyNotService::ServeTierHitLocked(Admission* a) {
   response.snapshot_version = a->snapshot.version;
   response.served_from_answer_cache = memory_hit;
   response.served_from_answer_store = !memory_hit;
-  RememberCompletedLocked(&response, a->hit);
-  response.answer = *a->hit;
+  RememberCompletedLocked(&response, hit);
+  response.answer = *hit;
   a->Resolve(std::move(response), /*deduped=*/false);
   return true;
 }
@@ -557,7 +534,6 @@ std::shared_ptr<WhyNotService::Job> WhyNotService::MakeJob(Admission* a) {
   auto job = std::make_shared<Job>();
   job->request = std::move(a->request);
   job->snapshot = std::move(a->snapshot);
-  job->breaker_key = std::move(a->breaker_key);
   job->answer_key = std::move(a->answer_key);
   job->submit_time = clock_->Now();
   const int64_t deadline_ms = job->request.deadline_ms != 0
@@ -567,7 +543,7 @@ std::shared_ptr<WhyNotService::Job> WhyNotService::MakeJob(Admission* a) {
   job->memory_charge = a->memory_budget;
   job->ctx = std::make_shared<ExecContext>();
   if (options_.clock != nullptr) job->ctx->set_clock(clock_);
-  if (options_.context_deadline) job->ctx->set_deadline(job->deadline);
+  job->ctx->set_deadline(job->deadline);
   if (a->row_budget != 0) job->ctx->set_row_budget(a->row_budget);
   if (a->memory_budget != 0) job->ctx->set_memory_budget(a->memory_budget);
   if (job->request.inject_fault_at_step != 0) {
@@ -696,28 +672,20 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
     std::lock_guard<std::mutex> lock(mu_);
     response.attempt = ++attempts_[req.key];
   }
-  // Breaker recheck at the worker: work admitted before its breaker opened
-  // (or queued behind the failures that opened it) must not execute after.
-  // kAllow/kProbe registers an execution that `finish` below pairs with
-  // End() on every exit path.
-  bool breaker_began = false;
-  if (breaker_ != nullptr) {
-    const CircuitBreaker::Decision decision =
-        breaker_->TryBegin(job->breaker_key);
-    if (decision.gate == CircuitBreaker::Gate::kFastFail) {
-      response.status = decision.cached_error;
-      response.breaker_fast_fail = true;
-      stat_.breaker_fast_fails->Increment();
-      if (trace != nullptr) trace->CloseSpan(exec_span);
-      Finalize(job, std::move(response), /*final=*/true);
-      return;
-    }
-    breaker_began = true;
-  }
   const auto finish = [&](bool final) {
     if (trace != nullptr) trace->CloseSpan(exec_span);
-    if (breaker_began) breaker_->End(job->breaker_key, response.status);
     Finalize(job, std::move(response), final);
+  };
+  // A permanent error depends only on the content, like an answer does, so
+  // the tier remembers it under the answer's key: the next Submit of this
+  // content fails fast instead of executing again.
+  const auto fail = [&](Status status) {
+    response.status = std::move(status);
+    response.exec_ms = MsSince(exec_start, clock_->Now());
+    if (!job->answer_key.empty() && IsPermanentError(response.status)) {
+      answer_store_->PutError(job->answer_key, response.status);
+    }
+    finish(/*final=*/true);
   };
   // Injected transient infrastructure fault: retryable, unlike engine
   // checkpoint faults which produce final (partial) answers below.
@@ -741,12 +709,7 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
     obs::SpanScope span(trace, "compile");
     return CompileSql(req.sql, db);
   }();
-  if (!tree.ok()) {
-    response.status = tree.status();
-    response.exec_ms = MsSince(exec_start, clock_->Now());
-    finish(/*final=*/true);
-    return;
-  }
+  if (!tree.ok()) return fail(tree.status());
   // Every engine run this service executes shares the service-wide subtree
   // cache; its keys pin relation data versions, so snapshots never bleed
   // into each other.
@@ -755,24 +718,18 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
     engine_options.subtree_cache = subtree_cache_.get();
   }
   auto engine = NedExplainEngine::Create(&*tree, &db, engine_options);
-  if (!engine.ok()) {
-    response.status = engine.status();
-    response.exec_ms = MsSince(exec_start, clock_->Now());
-    finish(/*final=*/true);
-    return;
-  }
+  if (!engine.ok()) return fail(engine.status());
   auto result = [&] {
     // The engine's own phase spans (Initialization, per-ctuple, per-level
     // TabQ, ...) nest under this one via the ExecContext trace.
     obs::SpanScope span(trace, "engine");
     return engine->Explain(req.question, job->ctx.get());
   }();
+  // Resource limits come back as OK partials, not as errors.
+  if (!result.ok()) return fail(result.status());
   response.exec_ms = MsSince(exec_start, clock_->Now());
-  if (!result.ok()) {
-    // Non-resource error (resource limits come back as OK partials).
-    response.status = result.status();
-  } else {
-    response.status = Status::OK();
+  response.status = Status::OK();
+  {
     obs::SpanScope span(trace, "render");
     response.answer = SummarizeResult(*engine, *result);
   }
@@ -781,7 +738,7 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
   // answer is honest for its requester but must never be replayed as
   // authoritative for another. So every hit, from memory or disk, is
   // byte-identical to an uninterrupted recomputation.
-  if (!job->answer_key.empty() && response.status.ok()) {
+  if (!job->answer_key.empty()) {
     if (!response.answer.complete) {
       stat_.partial_not_cached->Increment();
     } else {
@@ -795,21 +752,13 @@ void WhyNotService::PutAnswer(Job* job, const AnswerSummary& answer) {
   job->answer = std::make_shared<const AnswerSummary>(answer);
   if (answer_store_->has_memory()) stat_.answer_cache_inserts->Increment();
   if (!answer_store_->durable()) {
-    (void)answer_store_->Put(job->answer_key, job->answer, {});
+    (void)answer_store_->Put(job->answer_key, job->answer);
     return;
   }
   // The entry file is written off the service mutex (the store locks
   // itself), so its IO never blocks admission.
   obs::SpanScope span(job->trace.get(), "store_put");
-  const Database& db = *job->snapshot.db;
-  StoreManifestEntry manifest;
-  manifest.db_name = job->request.db_name;
-  manifest.content_fingerprint = job->snapshot.content_fingerprint;
-  for (const std::string& name : db.RelationNames()) {
-    const Relation* rel = db.GetRelation(name).value();
-    manifest.relations.push_back({name, rel->data_version(), rel->size()});
-  }
-  if (answer_store_->Put(job->answer_key, job->answer, manifest).ok()) {
+  if (answer_store_->Put(job->answer_key, job->answer).ok()) {
     job->stored_answer = true;
     stat_.answer_store_puts->Increment();
   }
@@ -836,7 +785,7 @@ void WhyNotService::Finalize(const std::shared_ptr<Job>& job,
     inflight_.erase(job->request.key);
     admitted_bytes_ -= job->memory_charge;
     // The fair-share occupancy slot taken at TryAdmit frees here, whatever
-    // path the job took (executed, expired, fast-failed or drained).
+    // path the job took (executed, expired or drained).
     scheduler_.Release(job->request.client_id);
     // Journal the resolution before the promise resolves: once a client
     // observes a response, the journal must already know this ACCEPT is
@@ -907,22 +856,13 @@ void WhyNotService::Finalize(const std::shared_ptr<Job>& job,
 void WhyNotService::WatchdogLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stopping_) {
-    watchdog_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.watchdog_interval_ms));
-    const Clock::TimePoint now = clock_->Now();
-    for (auto& [key, job] : inflight_) {
-      if (job->running && !job->watchdog_fired && now >= job->deadline) {
-        // Backstop for checkpoint gaps: cooperative deadline checks should
-        // normally trip first, but the watchdog guarantees the bound.
-        job->ctx->RequestCancel();
-        job->watchdog_fired = true;
-        stat_.watchdog_cancels->Increment();
-      }
-    }
-    // Queued-but-expired entries are also failed fast from here, so expiry
-    // does not wait for a worker to come free (under saturation workers can
-    // stay busy for a long time -- exactly when queues expire).
-    std::vector<Scheduler::Entry> expired = scheduler_.TakeExpired(now);
+    watchdog_cv_.wait_for(lock, std::chrono::milliseconds(kWatchdogIntervalMs));
+    // Queued-but-expired entries are failed fast from here, so expiry does
+    // not wait for a worker to come free (under saturation workers can stay
+    // busy for a long time -- exactly when queues expire). Running requests
+    // need no scan: their ExecContext checks the same deadline.
+    std::vector<Scheduler::Entry> expired =
+        scheduler_.TakeExpired(clock_->Now());
     if (!expired.empty()) {
       lock.unlock();
       for (const Scheduler::Entry& entry : expired) FailExpired(entry.item);
@@ -1009,7 +949,7 @@ WhyNotService::DrainReport WhyNotService::Drain(int64_t deadline_ms) {
       if (inflight_.empty()) break;
       if (!cancelled && clock_->Now() >= deadline) {
         for (auto& [key, job] : inflight_) {
-          if (job->running && !job->watchdog_fired) {
+          if (job->running) {
             job->ctx->RequestCancel();
             ++report.cancelled;
           }
@@ -1207,7 +1147,6 @@ WhyNotService::Stats WhyNotService::stats() const {
   s.served_from_cache = stat_.served_from_cache->value();
   s.completed = stat_.completed->value();
   s.transient_failures = stat_.transient_failures->value();
-  s.watchdog_cancels = stat_.watchdog_cancels->value();
   s.expired_in_queue = stat_.expired_in_queue->value();
   s.breaker_fast_fails = stat_.breaker_fast_fails->value();
   s.answer_cache_hits = stat_.answer_cache_hits->value();
@@ -1228,10 +1167,6 @@ WhyNotService::Stats WhyNotService::stats() const {
 size_t WhyNotService::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return scheduler_.size();
-}
-
-CircuitBreaker::Stats WhyNotService::breaker_stats() const {
-  return breaker_ != nullptr ? breaker_->stats() : CircuitBreaker::Stats{};
 }
 
 size_t WhyNotService::client_occupancy(const std::string& client_id) const {

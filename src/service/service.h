@@ -24,23 +24,22 @@
 ///     at admission and evaluates against it even if the database is
 ///     reloaded or swapped mid-flight.
 ///  4. Deadline enforcement. The request's deadline covers queue wait plus
-///     execution; it is armed inside the ExecContext (cooperative
-///     checkpoints) and backstopped by a watchdog thread that fires
-///     RequestCancel on overrun, so a checkpoint gap cannot blow the
-///     latency bound.
-///  5. Circuit breakers (service/breaker.h). Repeated non-retryable
-///     failures of one request content key open a per-key breaker that
-///     fast-fails duplicates with the cached error until a half-open probe
-///     proves the key healthy again -- poison queries cost a bounded number
-///     of executions.
-///  6. Crash isolation and exactly-once responses. Any Status error or
+///     execution. A queued request is failed fast once it passes (see 2);
+///     a running one is stopped by its ExecContext, which checks the
+///     deadline at the engine's cooperative checkpoints. The bound is only
+///     as tight as the gap between two checkpoints: no thread interrupts
+///     work between them.
+///  5. Crash isolation and exactly-once responses. Any Status error or
 ///     tripped limit is contained in its request's response; every accepted
 ///     request resolves its future exactly once (Shutdown NED_CHECKs that
 ///     none is lost), and idempotent request keys deduplicate concurrent
 ///     duplicates and re-serve completed ones without re-execution. A new
 ///     key asking an answered question is served from the content-keyed
-///     answer tier (persist/answer_store.h) without admission or execution.
-///  7. Crash-safe durability (opt-in via ServiceOptions::persist_dir; see
+///     answer tier (persist/answer_store.h) without admission or execution,
+///     and one whose content failed permanently before (a bind or type
+///     error) fails fast there with the remembered error -- poison costs one
+///     execution per content and budget class.
+///  6. Crash-safe durability (opt-in via ServiceOptions::persist_dir; see
 ///     docs/DURABILITY.md). Accepted requests are write-ahead journaled
 ///     before admission and marked COMPLETE/SHED before their futures
 ///     resolve; the answer tier gains its disk half. Drain() + Recover()
@@ -78,7 +77,6 @@
 #include "persist/answer_store.h"
 #include "persist/journal.h"
 #include "relational/catalog.h"
-#include "service/breaker.h"
 #include "service/request.h"
 #include "service/scheduler.h"
 
@@ -107,27 +105,19 @@ struct ServiceOptions {
   /// capped. Clients may use it directly or feed it to RetryPolicy.
   int64_t base_backoff_ms = 5;
   int64_t max_backoff_ms = 500;
-  /// Watchdog scan period.
-  int64_t watchdog_interval_ms = 2;
-  /// Arm the deadline inside the ExecContext (cooperative checkpoints). Off,
-  /// only the watchdog enforces it -- the service tests use that to prove
-  /// the watchdog alone bounds a runaway evaluation.
-  bool context_deadline = true;
   /// Byte budget of the answer tier's memory half (persist/answer_store.h):
-  /// complete answers keyed by content (db, content fingerprint, normalized
-  /// SQL, question, budgets class, engine options), served at Submit
-  /// without admission or execution. 0 disables the memory half. Distinct
-  /// from the idempotency book, which keys on the *request key*.
+  /// complete answers and permanent errors keyed by content (db, content
+  /// fingerprint, normalized SQL, question, budgets class, engine options),
+  /// served at Submit without admission or execution. 0 disables the
+  /// memory half, and with it the error memory. Distinct from the
+  /// idempotency book, which keys on the *request key*.
   size_t answer_cache_bytes = 8u << 20;
   /// Byte budget of the SubtreeCache shared by every engine run this service
   /// executes (memoized materialized subtree outputs, keyed by structure +
   /// relation data versions). 0 disables it.
   size_t subtree_cache_bytes = 32u << 20;
-  /// Per-request-key circuit breaker policy (breaker.failure_threshold = 0
-  /// disables breakers entirely).
-  BreakerOptions breaker;
-  /// Time source for deadlines, expiry, breaker probes and the watchdog.
-  /// nullptr = the real steady clock. Tests inject a ManualClock here to
+  /// Time source for deadlines and queue expiry. nullptr = the real steady
+  /// clock. Tests inject a ManualClock here to
   /// make time-driven behaviour deterministic.
   const Clock* clock = nullptr;
   /// Root directory of the durability layer (docs/DURABILITY.md). Empty =
@@ -156,11 +146,8 @@ struct ServiceOptions {
   /// persistence adds to Submit latency, so deployments that only need
   /// at-most-once semantics can turn it off.
   bool persist_answers = true;
-  /// fsync answer-store entry files and manifest (power-loss durability).
+  /// fsync answer-store entry files (power-loss durability).
   bool persist_fsync_store = false;
-  /// Deterministic crash injection for the durability layer's IO
-  /// boundaries (ned_crashtest, persist_test); nullptr in production.
-  CrashInjector* crash_injector = nullptr;
 };
 
 // WhyNotRequest lives in service/request.h (shared with the durability
@@ -193,8 +180,9 @@ struct WhyNotResponse {
   /// True when the request's deadline passed while it was still queued:
   /// `status` is kDeadlineExceeded and no worker ever ran it.
   bool expired_in_queue = false;
-  /// True when an open circuit breaker short-circuited execution: `status`
-  /// is the breaker's cached error for this content key.
+  /// Reserved: the service never sets it, because a remembered permanent
+  /// error fails the Submit itself (Submission::breaker_fast_fail).
+  /// perfbench still copies it to and from net::WireResponse.
   bool breaker_fast_fail = false;
   /// Per-request span trace (admission, queue wait, the engine's Fig. 5
   /// phases, finalize). Non-null only when the request set `collect_trace`;
@@ -210,9 +198,9 @@ class WhyNotService {
   /// Outcome of Submit. `status` OK: the request is admitted (or coalesced
   /// onto an identical in-flight/completed key) and `response` will resolve
   /// exactly once. kUnavailable: shed -- retry after `retry_after_ms`.
-  /// Anything else (e.g. kNotFound for an unknown database, or a breaker
-  /// fast-fail replaying a cached permanent error): permanent rejection, do
-  /// not retry.
+  /// Anything else (e.g. kNotFound for an unknown database, or a fast-fail
+  /// replaying a remembered permanent error): permanent rejection, do not
+  /// retry.
   struct Submission {
     Status status;
     int64_t retry_after_ms = 0;
@@ -220,11 +208,12 @@ class WhyNotService {
     /// True when this submission attached to an existing key instead of
     /// admitting new work.
     bool deduped = false;
-    /// True when an open breaker rejected the submission synchronously with
-    /// its cached error (no admission, no execution).
+    /// True when the answer tier rejected the submission synchronously with
+    /// the permanent error this content produced before (no admission, no
+    /// execution). The name predates the tier's error memory.
     bool breaker_fast_fail = false;
     /// Admission-side span trace for submissions resolved synchronously
-    /// (sheds, breaker fast-fails, cache/store hits). Requests that were
+    /// (sheds, remembered-error fast-fails, cache/store hits). Requests that were
     /// admitted instead deliver their full trace on the WhyNotResponse.
     /// Non-null only when the request set `collect_trace`.
     std::shared_ptr<const obs::Trace> trace;
@@ -246,14 +235,12 @@ class WhyNotService {
     uint64_t served_from_cache = 0;
     uint64_t completed = 0;
     uint64_t transient_failures = 0;
-    uint64_t watchdog_cancels = 0;
     /// Accepted requests failed fast with kDeadlineExceeded because their
     /// deadline passed in the queue. Final responses: counted in
     /// `completed`, so the exactly-once books still balance.
     uint64_t expired_in_queue = 0;
-    /// Breaker short-circuits, both synchronous (at Submit, not accepted)
-    /// and worker-side (accepted before the breaker opened; counted in
-    /// `completed`).
+    /// Submissions failed fast with a remembered permanent error (at
+    /// Submit, not accepted). Never counted as answer-tier hits or misses.
     uint64_t breaker_fast_fails = 0;
     /// Answer-tier traffic: `answer_cache_*` counts its memory half (hits,
     /// misses, inserts, and requests that bypass the tier), `answer_store_*`
@@ -338,7 +325,7 @@ class WhyNotService {
   /// Submit with push-style completion: iff the returned Submission has an
   /// OK status, `on_complete` fires exactly once with the final
   /// WhyNotResponse (equal to what `response.get()` yields). Non-OK
-  /// submissions (sheds, breaker fast-fails, permanent rejections) resolve
+  /// submissions (sheds, remembered errors, permanent rejections) resolve
   /// synchronously on the Submission itself and never invoke the callback.
   /// This is what lets the HTTP frontend hand a worker-completed answer
   /// back to its event loop without ever parking a thread on a future.
@@ -380,15 +367,13 @@ class WhyNotService {
 
   /// The service's unified metrics registry (src/obs/): every counter in
   /// Stats, latency histograms (ned_request_{queue,exec,total}_us) and
-  /// mirror gauges for the scheduler, breaker, cache and journal
-  /// internals, refreshed by a collector at Collect() time.
+  /// mirror gauges for the scheduler, cache and journal internals,
+  /// refreshed by a collector at Collect() time.
   /// Collect() takes the service mutex via that collector -- never call it
   /// while holding locks that order after mu_. See docs/OBSERVABILITY.md
   /// for the catalog.
   obs::MetricsRegistry* metrics() const { return &registry_; }
 
-  /// Breaker counters (all-zero when breakers are disabled).
-  CircuitBreaker::Stats breaker_stats() const;
   /// Queued + running requests currently charged to `client_id`.
   size_t client_occupancy(const std::string& client_id) const;
 
@@ -430,7 +415,6 @@ class WhyNotService {
     obs::Counter* served_from_cache = nullptr;
     obs::Counter* completed = nullptr;
     obs::Counter* transient_failures = nullptr;
-    obs::Counter* watchdog_cancels = nullptr;
     obs::Counter* expired_in_queue = nullptr;
     obs::Counter* breaker_fast_fails = nullptr;
     obs::Counter* answer_cache_hits = nullptr;
@@ -455,7 +439,6 @@ class WhyNotService {
   /// delivers inline.
   Submission SubmitImpl(WhyNotRequest request, CompletionCallback* on_complete);
   bool KnownKeyLocked(Admission* a);
-  bool BreakerFastFails(Admission* a);
   bool PinAndLookUp(Admission* a);
   bool ServeTierHitLocked(Admission* a);
   bool LoadShedsLocked(Admission* a);
@@ -511,8 +494,6 @@ class WhyNotService {
   obs::Histogram* total_us_ = nullptr;
   /// Internally locked; nullptr when disabled by options.
   const std::unique_ptr<SubtreeCache> subtree_cache_;
-  /// Internally locked (workers call End outside mu_); null when disabled.
-  const std::unique_ptr<CircuitBreaker> breaker_;
   /// Null when options.persist_dir is empty. Internally locked; appends
   /// from Submit/Finalize hold mu_ first (the lock order service mu_ ->
   /// journal mutex is acyclic).

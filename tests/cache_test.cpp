@@ -2,7 +2,8 @@
 /// \brief The snapshot-versioned provenance caches (src/cache/): key
 /// normalization, byte-budget LRU eviction, fingerprint distinctness,
 /// bit-identical warm replay, reload invalidation, the partial-answer
-/// completeness gate, and a multi-client reload-never-stale race.
+/// completeness gate, the answer tier's memory of permanent errors, and a
+/// multi-client reload-never-stale race.
 ///
 /// Built with -DNED_TSAN=ON the multi-client tests double as the
 /// ThreadSanitizer audit of the cache mutexes and the Submit-path
@@ -680,6 +681,110 @@ TEST(AnswerCacheService, CompletedKeyIsServedAgainAfterTheTierEvictsIt) {
   ExpectSameAnswer(r1.answer, r1_again.answer);
   EXPECT_EQ(service.stats().completed, completed);
   service.Shutdown();
+}
+
+// ---- permanent errors through the service -----------------------------------
+
+/// Names relation X, which the tiny database lacks: binding fails the same
+/// way every time until a reload creates X.
+WhyNotRequest PoisonRequest(const std::string& key) {
+  WhyNotRequest req = TinyRequest(key);
+  req.sql = "SELECT X.v FROM X, S WHERE X.k = S.k";
+  CTuple tc;
+  tc.Add("X.v", Value::Str("c"));
+  req.question = WhyNotQuestion(tc);
+  return req;
+}
+
+TEST(AnswerCacheService,
+     PoisonContentExecutesOnceThenFailsFastUntilItsDataChanges) {
+  const std::string dir = ::testing::TempDir() + "cache_test_poison";
+  testing::RemoveTree(dir);
+  auto catalog = TinyCatalog();
+  ServiceOptions options;
+  options.persist_dir = dir;
+  WhyNotService service(catalog, options);
+
+  auto first = service.Submit(PoisonRequest("p1"));
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  const WhyNotResponse r1 = first.response.get();
+  ASSERT_FALSE(r1.status.ok());
+  EXPECT_FALSE(r1.retryable());
+  EXPECT_EQ(r1.attempt, 1);
+
+  // Same content under fresh keys: rejected at Submit with the same code,
+  // never admitted, journaled or executed.
+  for (const char* key : {"p2", "p3"}) {
+    const auto again = service.Submit(PoisonRequest(key));
+    EXPECT_EQ(again.status.code(), r1.status.code())
+        << again.status.ToString();
+    EXPECT_TRUE(again.breaker_fast_fail);
+  }
+  WhyNotService::Stats stats = service.stats();
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.journaled_accepts, 1u);
+  EXPECT_EQ(stats.breaker_fast_fails, 2u);
+  // The error lives in memory only: no answer hit, no entry file.
+  EXPECT_EQ(stats.answer_cache_hits, 0u);
+  EXPECT_EQ(stats.answer_store_puts, 0u);
+
+  // The operator creates X: new content, new key, so the same request
+  // executes and succeeds -- no timer involved.
+  NED_EXPECT_OK(catalog->ReloadCsv("tiny", "X", "id,k,v\n1,20,c\n"));
+  auto healed = service.Submit(PoisonRequest("p4"));
+  ASSERT_TRUE(healed.status.ok()) << healed.status.ToString();
+  const WhyNotResponse r4 = healed.response.get();
+  ASSERT_TRUE(r4.status.ok()) << r4.status.ToString();
+  EXPECT_TRUE(r4.answer.complete);
+  EXPECT_EQ(r4.attempt, 1);
+  service.Shutdown();
+  stats = service.stats();
+  EXPECT_EQ(stats.accepted, 2u);
+  EXPECT_EQ(stats.breaker_fast_fails, 2u);
+  testing::RemoveTree(dir);
+}
+
+TEST(AnswerCacheService, PartialTransientAndBypassOutcomesAreNeverRemembered) {
+  WhyNotService service(TinyCatalog());
+  // A budget-tripped partial answer is not the content's answer: the same
+  // budget class executes again.
+  for (const char* key : {"b1", "b2"}) {
+    WhyNotRequest req = TinyRequest(key);
+    req.row_budget = 1;
+    const WhyNotResponse resp = service.Submit(std::move(req)).response.get();
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    EXPECT_FALSE(resp.answer.complete);
+    EXPECT_EQ(resp.answer.tripped, StatusCode::kResourceExhausted);
+    EXPECT_EQ(resp.attempt, 1);
+  }
+  // An injected transient failure is retryable, and the retry under the same
+  // key executes again; neither its kUnavailable nor the retry's bind error
+  // is remembered, since chaos knobs bypass the tier.
+  WhyNotRequest transient = PoisonRequest("t1");
+  transient.inject_transient_failures = 1;
+  EXPECT_TRUE(service.Submit(transient).response.get().retryable());
+  const WhyNotResponse retried = service.Submit(transient).response.get();
+  EXPECT_FALSE(retried.status.ok());
+  EXPECT_FALSE(retried.retryable());
+  EXPECT_EQ(retried.attempt, 2);
+  // So the plain poison request still executes, and only now is its error
+  // remembered ...
+  auto plain = service.Submit(PoisonRequest("p1"));
+  ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
+  EXPECT_EQ(plain.response.get().attempt, 1);
+  // ... which a bypassing request never consults: it executes.
+  WhyNotRequest bypass = PoisonRequest("x1");
+  bypass.bypass_answer_cache = true;
+  auto bypassed = service.Submit(std::move(bypass));
+  ASSERT_TRUE(bypassed.status.ok()) << bypassed.status.ToString();
+  EXPECT_EQ(bypassed.response.get().attempt, 1);
+  EXPECT_TRUE(service.Submit(PoisonRequest("p2")).breaker_fast_fail);
+  service.Shutdown();
+  const WhyNotService::Stats stats = service.stats();
+  EXPECT_EQ(stats.accepted, 6u);
+  EXPECT_EQ(stats.breaker_fast_fails, 1u);
+  EXPECT_EQ(stats.answer_cache_inserts, 0u);
+  EXPECT_EQ(stats.partial_not_cached, 2u);
 }
 
 // ---- multi-client staleness race -------------------------------------------

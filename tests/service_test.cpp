@@ -1,10 +1,9 @@
 /// \file service_test.cpp
 /// \brief The concurrent why-not service: admission control, priority
 /// scheduling with fair-share quotas, queue expiry, snapshot isolation,
-/// watchdog cancellation, circuit breakers, retry/backoff and exactly-once
-/// responses.
+/// deadline cancellation, retry/backoff and exactly-once responses.
 ///
-/// Time-driven behaviour (queue expiry, breaker probes) is tested against an
+/// Time-driven behaviour (queue expiry, deadlines) is tested against an
 /// injected ManualClock, so those tests assert on exact instants instead of
 /// sleeping.
 ///
@@ -13,10 +12,6 @@
 /// the service's queue/watchdog/catalog locking.
 
 #include <gtest/gtest.h>
-
-#include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -37,6 +32,7 @@ namespace ned {
 namespace {
 
 using testing::MakeTinyDb;
+using testing::RemoveTree;
 
 /// Two `n`-row relations whose cross join is the service's slow request:
 /// n*n joined rows, every row compatible, so early termination cannot help.
@@ -89,8 +85,8 @@ WhyNotRequest SlowRequest(const std::string& key, int64_t deadline_ms) {
 TEST(ExecContextConcurrency, CancelAndCountersRaceFree) {
   ExecContext ctx;
   std::atomic<bool> done{false};
-  // A monitoring thread reads counters and eventually cancels, exactly like
-  // the service watchdog; the main thread hammers the hot checkpoint path.
+  // A monitoring thread reads counters and eventually cancels, as Drain and
+  // Shutdown do; the main thread hammers the hot checkpoint path.
   std::thread watchdog([&] {
     while (!done.load()) {
       (void)ctx.steps();
@@ -165,31 +161,9 @@ TEST(Service, DeadlineCancelsMidEvaluation) {
       std::chrono::steady_clock::now() - start);
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
   EXPECT_FALSE(resp.answer.complete);
-  EXPECT_TRUE(resp.answer.tripped == StatusCode::kDeadlineExceeded ||
-              resp.answer.tripped == StatusCode::kCancelled)
+  EXPECT_EQ(resp.answer.tripped, StatusCode::kDeadlineExceeded)
       << StatusCodeName(resp.answer.tripped);
   EXPECT_LT(elapsed.count(), 2000);
-}
-
-TEST(Service, WatchdogAloneBoundsARunawayEvaluation) {
-  // Disarm the cooperative in-context deadline: only the watchdog's
-  // RequestCancel can stop the cross join now.
-  ServiceOptions options;
-  options.workers = 1;
-  options.context_deadline = false;
-  options.watchdog_interval_ms = 1;
-  WhyNotService service(MakeCatalog(), options);
-  auto start = std::chrono::steady_clock::now();
-  auto sub = service.Submit(SlowRequest("runaway", 40));
-  ASSERT_TRUE(sub.status.ok());
-  WhyNotResponse resp = sub.response.get();
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
-  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-  EXPECT_FALSE(resp.answer.complete);
-  EXPECT_EQ(resp.answer.tripped, StatusCode::kCancelled);
-  EXPECT_LT(elapsed.count(), 2000);
-  EXPECT_GE(service.stats().watchdog_cancels, 1u);
 }
 
 // ---- admission control -----------------------------------------------------
@@ -588,8 +562,8 @@ TEST(Scheduling, QueueExpiryFailsFastAtTheExactInjectedInstant) {
   EXPECT_TRUE(resp.expired_in_queue);
   EXPECT_EQ(resp.attempt, 0);  // never dispatched
   EXPECT_GE(resp.queue_ms, 20.0);
-  // Now let the blocker's own deadline pass; it resolves as an honest
-  // partial (cooperative checkpoint or watchdog cancel).
+  // Now let the blocker's own deadline pass; its next checkpoint trips and
+  // it resolves as an honest partial.
   clock.AdvanceMs(500);
   WhyNotResponse blocked = blk.response.get();
   ASSERT_TRUE(blocked.status.ok()) << blocked.status.ToString();
@@ -598,72 +572,6 @@ TEST(Scheduling, QueueExpiryFailsFastAtTheExactInjectedInstant) {
   EXPECT_EQ(stats.expired_in_queue, 1u);
   EXPECT_EQ(stats.accepted, 2u);
   EXPECT_EQ(stats.completed, 2u);  // expiry is final: the books balance
-}
-
-// ---- circuit breaker: open, fast-fail, heal via reload + probe -------------
-
-TEST(Breaker, OpensOnPoisonThenHealsViaReloadAndProbe) {
-  ManualClock clock;
-  auto catalog = MakeCatalog();
-  ServiceOptions options;
-  options.workers = 1;
-  options.clock = &clock;
-  options.breaker.failure_threshold = 2;
-  options.breaker.probe_interval_ms = 100;
-  WhyNotService service(catalog, options);
-  // Poison: relation X does not exist yet, so binding fails permanently.
-  // Same content key every time; distinct idempotency keys.
-  auto poison = [](const std::string& key) {
-    WhyNotRequest req;
-    req.key = key;
-    req.db_name = "tiny";
-    req.sql = "SELECT X.v FROM X, S WHERE X.k = S.k";
-    CTuple tc;
-    tc.Add("X.v", Value::Str("c"));
-    req.question = WhyNotQuestion(tc);
-    return req;
-  };
-  auto p1 = service.Submit(poison("p1"));
-  ASSERT_TRUE(p1.status.ok());
-  WhyNotResponse r1 = p1.response.get();  // sequential: suspect
-  EXPECT_FALSE(r1.status.ok());          // serialization must not kick in
-  EXPECT_FALSE(r1.retryable());
-  auto p2 = service.Submit(poison("p2"));
-  ASSERT_TRUE(p2.status.ok());
-  WhyNotResponse r2 = p2.response.get();
-  EXPECT_FALSE(r2.status.ok());
-  // Two consecutive permanent failures: the breaker is open. The third
-  // submission is rejected synchronously with the cached error -- never
-  // admitted, never executed.
-  auto p3 = service.Submit(poison("p3"));
-  EXPECT_FALSE(p3.status.ok());
-  EXPECT_TRUE(p3.breaker_fast_fail);
-  EXPECT_EQ(p3.status.code(), r2.status.code());
-  EXPECT_EQ(service.breaker_stats().opens, 1u);
-  // The operator fixes the data: X now exists. The breaker key is content
-  // (db + SQL + question), not snapshot version, so the open entry is still
-  // there -- and stays closed to traffic until the probe interval elapses.
-  NED_CHECK(catalog->ReloadCsv("tiny", "X", "id,k,v\n1,20,c\n").ok());
-  auto p4 = service.Submit(poison("p4"));
-  EXPECT_FALSE(p4.status.ok());
-  EXPECT_TRUE(p4.breaker_fast_fail);
-  // Probe due: one request is let through half-open; its success closes
-  // the breaker and drops the key from tracking entirely.
-  clock.AdvanceMs(100);
-  auto p5 = service.Submit(poison("p5"));
-  ASSERT_TRUE(p5.status.ok()) << p5.status.ToString();
-  WhyNotResponse r5 = p5.response.get();
-  ASSERT_TRUE(r5.status.ok()) << r5.status.ToString();
-  EXPECT_TRUE(r5.answer.complete);
-  EXPECT_EQ(r5.snapshot_version, 2u);
-  service.Shutdown();
-  const auto breaker = service.breaker_stats();
-  EXPECT_EQ(breaker.opens, 1u);
-  EXPECT_EQ(breaker.reopens, 0u);
-  EXPECT_EQ(breaker.probes, 1u);
-  EXPECT_EQ(breaker.fast_fails, 2u);
-  EXPECT_EQ(breaker.tracked_keys, 0u);  // healthy keys cost nothing
-  EXPECT_EQ(service.stats().breaker_fast_fails, 2u);
 }
 
 // ---- retry: cross-attempt budget + priority-aware backoff ------------------
@@ -748,29 +656,9 @@ TEST(Service, KeepsServingIdenticallyAcrossAFailedReload) {
 
 // ---- drain-vs-shutdown contract (the durable half lives in persist_test) ---
 
-/// Recursive rm -rf via dirent (the repo avoids <filesystem>).
-void RemoveTreeForTest(const std::string& path) {
-  DIR* dir = ::opendir(path.c_str());
-  if (dir != nullptr) {
-    while (dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (name == "." || name == "..") continue;
-      const std::string child = path + "/" + name;
-      struct stat st;
-      if (::lstat(child.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-        RemoveTreeForTest(child);
-      } else {
-        ::unlink(child.c_str());
-      }
-    }
-    ::closedir(dir);
-  }
-  ::rmdir(path.c_str());
-}
-
 TEST(Durability, DrainContractAndIdempotentRecover) {
   const std::string dir = ::testing::TempDir() + "service_test_drain";
-  RemoveTreeForTest(dir);
+  RemoveTree(dir);
   ASSERT_TRUE(EnsureDir(dir).ok());
 
   // Phase 1: a pinned worker (blocker on manual time) plus one queued
@@ -855,12 +743,12 @@ TEST(Durability, DrainContractAndIdempotentRecover) {
     // Exactly-once across the restart: one execution for q1, total.
     EXPECT_EQ(service.stats().accepted, 1u);
   }
-  RemoveTreeForTest(dir);
+  RemoveTree(dir);
 }
 
 TEST(Durability, AutoKeysStayUniqueAcrossRestart) {
   const std::string dir = ::testing::TempDir() + "service_test_autokey";
-  RemoveTreeForTest(dir);
+  RemoveTree(dir);
   ASSERT_TRUE(EnsureDir(dir).ok());
 
   // Phase 1: an empty-key request gets the first auto key of this
@@ -909,7 +797,7 @@ TEST(Durability, AutoKeysStayUniqueAcrossRestart) {
     // cached response.
     EXPECT_EQ(service.stats().accepted, 1u);
   }
-  RemoveTreeForTest(dir);
+  RemoveTree(dir);
 }
 
 // ---- observability: per-request traces + the unified metrics registry ------
@@ -1005,8 +893,8 @@ TEST(Observability, QueueWaitSpanIsExactUnderManualClock) {
   options.clock = &clock;
   WhyNotService service(MakeCatalog(), options);
   // The blocker's deadline *is* the release instant: it runs on the only
-  // worker until manual time reaches 7ms, when the watchdog cancels it and
-  // the worker dispatches the queued target. Every instant in between is
+  // worker until manual time reaches 7ms, when its next checkpoint trips
+  // and the worker dispatches the queued target. Every instant in between is
   // frozen, so the target's queue_wait span is exactly 7ms.
   auto blk = service.Submit(SlowRequest("blk", 7));
   ASSERT_TRUE(blk.status.ok());
@@ -1054,39 +942,32 @@ TEST(Observability, ExpiredInQueueTraceHasNoExecuteSpan) {
   service.Shutdown();
 }
 
-TEST(Observability, BreakerFastFailTraceShowsTheSynchronousCheck) {
-  ManualClock clock;
-  ServiceOptions options;
-  options.workers = 1;
-  options.clock = &clock;
-  options.breaker.failure_threshold = 2;
-  WhyNotService service(MakeCatalog(), options);
+TEST(Observability, RememberedErrorTraceShowsTheTierLookup) {
+  WhyNotService service(MakeCatalog(), {});
   auto poison = [](const std::string& key) {
-    WhyNotRequest req;
-    req.key = key;
-    req.db_name = "tiny";
+    WhyNotRequest req = TinyRequest(key);
     req.sql = "SELECT X.v FROM X, S WHERE X.k = S.k";  // X does not exist
-    CTuple tc;
-    tc.Add("X.v", Value::Str("c"));
-    req.question = WhyNotQuestion(tc);
     return req;
   };
   EXPECT_FALSE(service.Submit(poison("p1")).response.get().status.ok());
-  EXPECT_FALSE(service.Submit(poison("p2")).response.get().status.ok());
-  WhyNotRequest req = poison("p3");
+  // The tier remembers the bind error: the same content under a fresh key
+  // fails at the lookup, and the trace arrives on the Submission.
+  WhyNotRequest req = poison("p2");
   req.collect_trace = true;
   auto sub = service.Submit(std::move(req));
+  EXPECT_FALSE(sub.status.ok());
   EXPECT_TRUE(sub.breaker_fast_fail);
   const std::string structure = Structure(sub.trace);
   EXPECT_TRUE(HasSpan(structure, "admission")) << structure;
-  EXPECT_TRUE(HasSpan(structure, "breaker_check")) << structure;
-  EXPECT_FALSE(HasSpan(structure, "snapshot_pin")) << structure;
+  EXPECT_TRUE(HasSpan(structure, "answer_cache_lookup")) << structure;
+  EXPECT_FALSE(HasSpan(structure, "queue_wait")) << structure;
+  EXPECT_FALSE(HasSpan(structure, "execute")) << structure;
   service.Shutdown();
 }
 
 TEST(Observability, StoreHitTraceShowsTheDurableLookup) {
   const std::string dir = ::testing::TempDir() + "service_test_obs_store";
-  RemoveTreeForTest(dir);
+  RemoveTree(dir);
   ASSERT_TRUE(EnsureDir(dir).ok());
   {
     ServiceOptions options;
@@ -1114,7 +995,7 @@ TEST(Observability, StoreHitTraceShowsTheDurableLookup) {
     EXPECT_FALSE(HasSpan(structure, "execute")) << structure;
     service.Shutdown();
   }
-  RemoveTreeForTest(dir);
+  RemoveTree(dir);
 }
 
 TEST(Observability, RegistryExposesServiceCountersAndHistograms) {

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <string>
 #include <vector>
 
@@ -47,6 +51,26 @@ inline Database MakeTinyDb() {
   s.AddRow({Value::Int(2), Value::Int(30), Value::Str("y")});
   NED_CHECK(db.AddRelation(std::move(s)).ok());
   return db;
+}
+
+/// Recursive rm -rf via dirent (the repo avoids <filesystem>).
+inline void RemoveTree(const std::string& path) {
+  DIR* dir = ::opendir(path.c_str());
+  if (dir != nullptr) {
+    while (dirent* entry = ::readdir(dir)) {
+      const std::string name = entry->d_name;
+      if (name == "." || name == "..") continue;
+      const std::string child = path + "/" + name;
+      struct stat st;
+      if (::lstat(child.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
+        RemoveTree(child);
+      } else {
+        ::unlink(child.c_str());
+      }
+    }
+    ::closedir(dir);
+  }
+  ::rmdir(path.c_str());
 }
 
 /// Compiles SQL against `db`, asserting success.

@@ -92,7 +92,6 @@ using ned::JournalRecordType;
 using ned::ServiceOptions;
 using ned::Status;
 using ned::StatusCode;
-using ned::StoreManifestEntry;
 using ned::WhyNotRequest;
 using ned::WhyNotResponse;
 using ned::WhyNotService;
@@ -405,8 +404,7 @@ AnswerSummary MakeSummary(int salt) {
 /// re-open must keep the first entry byte-identical and show the second
 /// either absent or complete -- never torn, never fabricated.
 void RunStoreCrashLeg(const std::string& base, CrashPoint point,
-                      const char* name, bool second_must_survive,
-                      FailCounter* fail) {
+                      const char* name, FailCounter* fail) {
   const std::string dir = ned::StrCat(base, "/sim-store-", name);
   RemoveTree(dir);
   CrashInjector injector;
@@ -420,16 +418,12 @@ void RunStoreCrashLeg(const std::string& base, CrashPoint point,
   }
   const AnswerSummary first = MakeSummary(100);
   const AnswerSummary second = MakeSummary(200);
-  StoreManifestEntry manifest;
-  manifest.db_name = "dbA";
-  manifest.content_fingerprint = 0xABCDEF;
-  manifest.relations.push_back({"R", 1, 3});
-  if (!(*store)->Put("key-one", first, manifest).ok()) {
+  if (!(*store)->Put("key-one", first).ok()) {
     (*fail)(ned::StrCat(name, ": clean Put failed"));
     return;
   }
   injector.Arm(point, 1);
-  if ((*store)->Put("key-two", second, manifest).ok() || !injector.fired()) {
+  if ((*store)->Put("key-two", second).ok() || !injector.fired()) {
     (*fail)(ned::StrCat(name, ": armed Put did not crash"));
     return;
   }
@@ -455,20 +449,13 @@ void RunStoreCrashLeg(const std::string& base, CrashPoint point,
     got.clear();
     ned::EncodeAnswerSummary(second, &want);
     ned::EncodeAnswerSummary(*lookup_two, &got);
-    // Surviving at all is always allowed (the crash may have hit after the
-    // rename); surfacing altered bytes never is.
+    // Absent or complete are both honest outcomes; altered bytes never are.
     if (got != want) {
       (*fail)(ned::StrCat(name, ": interrupted Put surfaced altered bytes"));
     }
-  } else {
-    if (lookup_two.status().code() != StatusCode::kNotFound) {
-      (*fail)(ned::StrCat(name, ": interrupted Put lookup errored: ",
-                          lookup_two.status().ToString()));
-    }
-    if (second_must_survive) {
-      (*fail)(ned::StrCat(
-          name, ": entry renamed before the crash did not survive it"));
-    }
+  } else if (lookup_two.status().code() != StatusCode::kNotFound) {
+    (*fail)(ned::StrCat(name, ": interrupted Put lookup errored: ",
+                        lookup_two.status().ToString()));
   }
 }
 
@@ -493,22 +480,16 @@ int RunSimulatedBattery(const std::string& base, FailCounter* fail) {
   struct StoreLeg {
     CrashPoint point;
     const char* name;
-    bool second_must_survive;
   };
   const StoreLeg store_legs[] = {
-      {CrashPoint::kStoreBeforeTemp, "before-temp", false},
-      {CrashPoint::kStoreTornTemp, "torn-temp", false},
-      {CrashPoint::kStoreBeforeRename, "before-rename", false},
-      // These two fire after the entry rename: the answer must survive.
-      {CrashPoint::kStoreBeforeManifest, "before-manifest", true},
-      {CrashPoint::kStoreBeforeManifestRename, "before-manifest-rename",
-       true},
+      {CrashPoint::kStoreBeforeTemp, "before-temp"},
+      {CrashPoint::kStoreTornTemp, "torn-temp"},
+      {CrashPoint::kStoreBeforeRename, "before-rename"},
   };
   for (const StoreLeg& leg : store_legs) {
-    RunStoreCrashLeg(base, leg.point, leg.name, leg.second_must_survive,
-                     fail);
+    RunStoreCrashLeg(base, leg.point, leg.name, fail);
   }
-  std::cout << "ned_crashtest: simulated battery done (5 journal + 5 store "
+  std::cout << "ned_crashtest: simulated battery done (5 journal + 3 store "
                "crash points)\n";
   return fail->failures;
 }

@@ -9,7 +9,8 @@
 /// reloads, mixed priority classes (client i gets class i%3 with per-class
 /// deadline regimes; three clients share one "hot" fair-share id above its
 /// quota) and a dedicated sequential poison injector firing uncompilable
-/// queries at the per-key circuit breakers. Asserts, at the end of the run:
+/// queries at the answer tier's memory of permanent errors. Asserts, at the
+/// end of the run:
 ///
 ///   - zero crashes (reaching the final report at all),
 ///   - zero lost or duplicated responses: every submitted logical request
@@ -26,9 +27,10 @@
 ///     caches on (hits are neither accepted nor completed), and every run
 ///     actually exercises the cached path (~half the traffic bypasses the
 ///     answer cache so the execute path stays under chaos too),
-///   - bounded poison: a query that can never compile executes at most
-///     (threshold + failed probes) times per content key -- everything else
-///     fast-fails on an open breaker,
+///   - bounded poison: a query that can never compile executes once per
+///     content key while the tier remembers its error, so at most
+///     (poison kinds + answer-tier evictions) times -- everything else
+///     fails fast with the remembered error,
 ///   - no starvation: every client, of every priority class, completed at
 ///     least one answered request despite quotas and poison,
 ///   - reconciled expiry: queue-expired finals seen by clients equal the
@@ -399,8 +401,8 @@ void HogLoop(const Args& args, WhyNotService* service,
 }
 
 /// What the poison injector saw. Executions are finals that actually ran
-/// (and failed to compile); fast-fails were short-circuited by an open
-/// breaker; expired never reached a worker.
+/// (and failed to compile); fast-fails were rejected at Submit with the
+/// remembered error; expired never reached a worker.
 struct PoisonTally {
   uint64_t finals = 0;
   uint64_t executions = 0;
@@ -416,12 +418,11 @@ constexpr uint64_t kPoisonKinds = 3;
 /// The poison injector: a sequential thread firing queries that can never
 /// compile (unknown relation) at the service, one at a time, each under a
 /// fresh idempotency key but one of kPoisonKinds content keys. Sequential
-/// on purpose: the breaker's exact execution bound (threshold + failed
-/// probes per key) is only claimed for non-concurrent duplicates -- the
-/// concurrent case is covered by suspect serialization in scheduler_test.
-/// Deliberately NO transient injection here: transients clear breaker
-/// failure counts (they prove the key executes), which would blur the
-/// bound this harness asserts.
+/// on purpose: the execution bound (once per key while its error is
+/// remembered) is only claimed for non-concurrent duplicates -- concurrent
+/// duplicates of content that has not failed yet all execute. Deliberately
+/// NO transient injection here: chaos knobs bypass the answer tier, so
+/// those requests would execute every time.
 void PoisonLoop(const Args& args, WhyNotService* service,
                 std::chrono::steady_clock::time_point horizon,
                 PoisonTally* tally) {
@@ -534,9 +535,6 @@ int Run(const Args& args) {
   options.memory_watermark_bytes =
       static_cast<size_t>(args.workers + static_cast<int>(args.queue)) *
       (64u << 20);
-  // Breakers are on for the poison injector.
-  options.breaker.failure_threshold = 3;
-  options.breaker.probe_interval_ms = 100;
   if (!args.persist_dir.empty()) options.persist_dir = args.persist_dir;
   WhyNotService service(catalog, options);
   if (service.persistence_enabled()) {
@@ -643,7 +641,6 @@ int Run(const Args& args) {
                      t.latencies_ms.end());
   }
   const WhyNotService::Stats stats = service.stats();
-  const ned::CircuitBreaker::Stats breaker = service.breaker_stats();
   const double p50 = Percentile(latencies, 0.50);
   const double p99 = Percentile(latencies, 0.99);
 
@@ -660,11 +657,6 @@ int Run(const Args& args) {
             << " executions=" << poison.executions
             << " fast_fails=" << poison.fast_fails
             << " expired=" << poison.expired << "\n"
-            << "breaker           : opens=" << breaker.opens
-            << " reopens=" << breaker.reopens
-            << " probes=" << breaker.probes
-            << " fast_fails=" << breaker.fast_fails
-            << " tracked=" << breaker.tracked_keys << "\n"
             << "service: submitted=" << stats.submitted
             << " accepted=" << stats.accepted
             << " shed_queue=" << stats.shed_queue_full
@@ -672,8 +664,7 @@ int Run(const Args& args) {
             << " shed_quota=" << stats.shed_client_quota
             << " expired=" << stats.expired_in_queue
             << " completed=" << stats.completed
-            << " transient_injected=" << stats.transient_failures
-            << " watchdog_cancels=" << stats.watchdog_cancels << "\n"
+            << " transient_injected=" << stats.transient_failures << "\n"
             << "answer cache      : hits=" << stats.answer_cache_hits
             << " misses=" << stats.answer_cache_misses
             << " inserts=" << stats.answer_cache_inserts
@@ -805,16 +796,15 @@ int Run(const Args& args) {
                      " queue expiries but the service recorded ",
                      stats.expired_in_queue));
   }
-  // The breaker's whole point: poison executes at most threshold times per
-  // content key, plus one execution per failed probe; the rest fast-fail.
+  // The tier remembers each poison kind's error after its first execution,
+  // so only an eviction from the memory half lets a kind execute again; the
+  // rest fail fast.
   const uint64_t poison_execution_bound =
-      kPoisonKinds * static_cast<uint64_t>(
-                         service.options().breaker.failure_threshold) +
-      breaker.probes;
+      kPoisonKinds + service.answer_cache_stats().evictions;
   if (poison.executions > poison_execution_bound) {
     fail(ned::StrCat("poison executed ", poison.executions,
-                     " times, above the breaker bound ",
-                     poison_execution_bound));
+                     " times, above the bound ", poison_execution_bound,
+                     " (poison kinds + answer-tier evictions)"));
   }
   if (poison.unexpected_ok != 0) {
     fail(ned::StrCat(poison.unexpected_ok, " poison requests returned OK"));
@@ -822,30 +812,19 @@ int Run(const Args& args) {
   if (poison.exhausted != 0) {
     fail(ned::StrCat(poison.exhausted, " poison requests exhausted retries"));
   }
-  // Enough sequential poison to exceed the threshold must have opened the
-  // breaker and fast-failed the excess.
-  if (poison.finals >
-          kPoisonKinds * (static_cast<uint64_t>(
-                              service.options().breaker.failure_threshold) +
-                          1) &&
-      (breaker.opens == 0 || poison.fast_fails == 0)) {
-    fail(ned::StrCat("breaker never engaged under ", poison.finals,
-                     " poison finals (opens=", breaker.opens,
-                     ", fast_fails=", poison.fast_fails, ")"));
-  }
-  // Clients never trip breakers (their cases compile; transients and
-  // resource limits are not breaker failures), so the service's fast-fail
-  // count must reconcile exactly with what the poison injector saw.
+  // Clients never fail permanently (their cases compile; transients and
+  // resource limits are never remembered), so the service's fast-fail count
+  // must reconcile exactly with what the poison injector saw.
   if (stats.breaker_fast_fails != poison.fast_fails) {
     fail(ned::StrCat("service recorded ", stats.breaker_fast_fails,
-                     " breaker fast-fails but the poison injector saw ",
-                     poison.fast_fails));
+                     " remembered-error fast-fails but the poison injector "
+                     "saw ", poison.fast_fails));
   }
 
   if (failures == 0) {
     std::cout << "ned_stress: PASS (zero crashes, exactly-once responses, "
                  "all retries converged, p99 bounded, no starvation, "
-                 "answer tier served, poison breaker-bounded)\n";
+                 "answer tier served, poison bounded)\n";
     return 0;
   }
   std::cerr << "ned_stress: FAIL (" << failures << " violations)\n";
