@@ -3,9 +3,13 @@
 /// runtime over its four phases (Initialization, CompatibleFinder,
 /// SuccessorsFinder, Bottom-Up traversal).
 ///
-/// Expected shape (paper Sec. 4.3): SPJ use cases are dominated by
-/// Initialization, with SuccessorsFinder second; SPJA use cases shift weight
-/// to SuccessorsFinder (the extra aggregation checks of Alg. 3).
+/// Paper shape (Sec. 4.3): SPJ use cases are dominated by Initialization,
+/// with SuccessorsFinder second; SPJA use cases shift weight to
+/// SuccessorsFinder (the extra aggregation checks of Alg. 3). Measured here
+/// (EXPERIMENTS.md): operator evaluation (Bottom-Up) dominates every case,
+/// and with bitmap membership tests and cond-alpha aggregating only the
+/// asked group, the SPJA cases' SuccessorsFinder share (11-13%) no longer
+/// stands above the SPJ cases' (up to 14%, Gov5).
 ///
 /// Cross-check: after the timer-derived table, each use case runs once more
 /// with an obs::Trace attached and the four phase totals are re-derived from

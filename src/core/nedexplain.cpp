@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/strings.h"
-#include "expr/satisfiability.h"
 #include "obs/trace.h"
 
 #ifdef NED_FORCE_SUBTREE_CACHE
@@ -64,23 +64,98 @@ namespace {
 /// aggregation condition flipped from satisfied (input) to violated (output).
 struct PickyRecord {
   const OperatorNode* node;
+  /// Only inserted into and iterated: its iteration order is the order of
+  /// the served detailed answer.
   std::unordered_set<Rid> blocked;
   /// Dir tuples that still have a valid successor in the node's output.
   /// Def. 2.11 makes a subquery picky w.r.t. t_I only when *no* valid
   /// successor of t_I survives, so these are excluded from the detailed
   /// answer even when one of t_I's traces died here.
-  std::unordered_set<TupleId> surviving_dirs;
+  TupleIdSet surviving_dirs;
   bool cond_alpha_flip = false;
 };
+
+/// alpha_{G,F} over `tuples` (typed by `schema`), restricted to the groups
+/// the c-tuple asks about: a row whose group-by value differs from a
+/// constant group field cannot form a group that matches, so only the other
+/// rows are aggregated. The verdict and any error stay those of aggregating
+/// every group: if a skipped row would make sum or avg fail (a non-null,
+/// non-numeric argument), every group is aggregated, so the first failing
+/// group in first-seen order still decides the error.
+Result<std::vector<Tuple>> AggregateAskedGroups(const CondAlpha& ca,
+                                                const OperatorNode& aggregate,
+                                                const Block& tuples,
+                                                const Schema& schema,
+                                                const Schema& row_schema,
+                                                ExecContext* ctx) {
+  auto aggregate_all = [&] {
+    return ComputeAggregateTuples(aggregate.group_by, aggregate.aggregates,
+                                  tuples, schema, ctx);
+  };
+  // (input column, constant) of each constant field on a group-by attribute.
+  std::vector<std::pair<size_t, const Value*>> asked;
+  for (const auto& [attr, cval] : ca.group_fields) {
+    std::optional<size_t> pos = row_schema.IndexOf(attr);
+    if (cval.is_var || !pos.has_value() || *pos >= aggregate.group_by.size()) {
+      continue;
+    }
+    Result<size_t> column = schema.Resolve(aggregate.group_by[*pos]);
+    if (!column.ok()) return aggregate_all();  // which reports the error
+    asked.emplace_back(*column, &cval.constant);
+  }
+  if (asked.empty()) return aggregate_all();
+  std::vector<size_t> numeric_args;  // sum/avg fail on other values
+  for (const AggCall& call : aggregate.aggregates) {
+    if (call.fn != AggFn::kSum && call.fn != AggFn::kAvg) continue;
+    Result<size_t> column = schema.Resolve(call.arg);
+    if (!column.ok()) return aggregate_all();
+    numeric_args.push_back(*column);
+  }
+
+  std::vector<size_t> asked_rows;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    NED_EXEC_TICK(ctx);
+    const RowView row = tuples.values(i);
+    bool in_asked_group = true;
+    for (const auto& [column, constant] : asked) {
+      if (!Value::Satisfies(row[column], CompareOp::kEq, *constant)) {
+        in_asked_group = false;
+        break;
+      }
+    }
+    if (in_asked_group) {
+      asked_rows.push_back(i);
+      continue;
+    }
+    for (size_t column : numeric_args) {
+      if (!row[column].is_null() && !row[column].is_numeric()) {
+        return aggregate_all();
+      }
+    }
+  }
+  if (asked_rows.size() == tuples.size()) return aggregate_all();
+  BlockBuilder builder(tuples.arity(), tuples.rid_base(), 0);
+  builder.Reserve(asked_rows.size(), 0, 0);
+  for (size_t i : asked_rows) {
+    builder.AddValues(tuples.values(i));
+    builder.EndRow();
+  }
+  const Block asked_block = std::move(builder).Finish();
+  return ComputeAggregateTuples(aggregate.group_by, aggregate.aggregates,
+                                asked_block, schema, ctx);
+}
 
 /// Checks whether `tuples` (typed by `schema`) contain/aggregate-to a row
 /// matching the c-tuple's group fields and satisfying cond-alpha.
 /// `aggregate` supplies G and F when aggregation still needs to be applied.
+/// The fields are bound once, to `schema` or to the aggregated rows' schema.
 Result<bool> SatisfiesCondAlpha(const CondAlpha& ca, const Block& tuples,
                                 const Schema& schema,
                                 const OperatorNode* aggregate,
                                 ExecContext* ctx) {
   if (ca.empty()) return false;
+  std::vector<std::pair<Attribute, CValue>> fields = ca.group_fields;
+  fields.insert(fields.end(), ca.agg_fields.begin(), ca.agg_fields.end());
 
   // Does `schema` already expose the aggregate outputs (we are above alpha)?
   bool has_agg_outputs = true;
@@ -91,35 +166,12 @@ Result<bool> SatisfiesCondAlpha(const CondAlpha& ca, const Block& tuples,
     }
   }
 
-  auto row_matches = [&](const auto& row, const Schema& row_schema) -> bool {
-    std::map<std::string, Value> bindings;
-    auto check_field = [&](const Attribute& attr, const CValue& cval) -> bool {
-      std::optional<size_t> idx = row_schema.IndexOf(attr);
-      if (!idx.has_value()) return true;  // attribute projected away: skip
-      const Value& v = row.at(*idx);
-      if (!cval.is_var) {
-        return Value::Satisfies(v, CompareOp::kEq, cval.constant);
-      }
-      auto it = bindings.find(cval.var);
-      if (it != bindings.end()) {
-        return Value::Satisfies(it->second, CompareOp::kEq, v);
-      }
-      bindings.emplace(cval.var, v);
-      return true;
-    };
-    for (const auto& [attr, cval] : ca.group_fields) {
-      if (!check_field(attr, cval)) return false;
-    }
-    for (const auto& [attr, cval] : ca.agg_fields) {
-      if (!check_field(attr, cval)) return false;
-    }
-    return SatisfiableWith(ca.cond, bindings);
-  };
-
+  // A field whose attribute is projected away is skipped.
   if (has_agg_outputs) {
+    const BoundCTuple bound(fields, ca.cond, schema);
     for (size_t i = 0; i < tuples.size(); ++i) {
       NED_EXEC_TICK(ctx);
-      if (row_matches(tuples.values(i), schema)) return true;
+      if (bound.Matches(tuples.values(i))) return true;
     }
     return false;
   }
@@ -142,12 +194,12 @@ Result<bool> SatisfiesCondAlpha(const CondAlpha& ca, const Block& tuples,
   for (const auto& call : aggregate->aggregates) {
     row_schema.Add(Attribute::Unqualified(call.out_name));
   }
-  NED_ASSIGN_OR_RETURN(
-      std::vector<Tuple> rows,
-      ComputeAggregateTuples(aggregate->group_by, aggregate->aggregates,
-                             tuples, schema, ctx));
+  const BoundCTuple bound(fields, ca.cond, row_schema);
+  NED_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
+                       AggregateAskedGroups(ca, *aggregate, tuples, schema,
+                                            row_schema, ctx));
   for (const Tuple& row : rows) {
-    if (row_matches(row, row_schema)) return true;
+    if (bound.Matches(row)) return true;
   }
   return false;
 }
@@ -294,7 +346,22 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
   const CompatibleSets& compat = result.compat;
 
   // -- Initialization (step 2c/2d): TabQ and the secondary structures.
+  // TabQ's compatibles and blocked sets, like the successor set handed to a
+  // parent, are only inserted into and iterated, in the same sequence on
+  // every run: their iteration order is the order of the served detailed
+  // answer. Membership is tested on row marks of each entry's output block
+  // instead (a scan's block is its alias's rows); a rid names exactly one
+  // block. `fed` marks the rows in the parent's compatibles -- a scan's Dir
+  // rows or a node's valid successors -- and `covered` those of them with a
+  // valid successor in the parent's output.
   TabQ tabq(tree_);
+  // D = Dir u InDir in one record per alias ordinal, so the successor scan
+  // classifies a lineage id with one lookup: InDir aliases are held whole,
+  // Dir tuples as bitmap rows.
+  TupleIdSet d = compat.indir;
+  d.InsertAll(compat.dir);
+  std::vector<RowBitmap> fed(tabq.size());
+  std::vector<RowBitmap> covered(tabq.size());
   std::unordered_set<const OperatorNode*> non_picky;
   std::vector<const OperatorNode*> empty_output;
   std::vector<PickyRecord> picky;
@@ -305,23 +372,40 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
       auto it = compat.dir_by_alias.find(scan->alias);
       if (it != compat.dir_by_alias.end()) {
         entry.compatibles.insert(it->second.begin(), it->second.end());
+        RowBitmap& rows = fed[tabq.index_of(scan)];
+        for (TupleId id : it->second) rows.set(TupleIdRow(id));
       }
     }
   }
 
   auto record_picky = [&](const OperatorNode* node,
                           std::unordered_set<Rid> blocked,
-                          std::unordered_set<TupleId> surviving_dirs,
-                          bool flip) {
+                          TupleIdSet surviving_dirs, bool flip) {
     for (PickyRecord& rec : picky) {
       if (rec.node == node) {
         rec.blocked.insert(blocked.begin(), blocked.end());
-        rec.surviving_dirs.insert(surviving_dirs.begin(), surviving_dirs.end());
+        rec.surviving_dirs.InsertAll(surviving_dirs);
         rec.cond_alpha_flip |= flip;
         return;
       }
     }
     picky.push_back({node, std::move(blocked), std::move(surviving_dirs), flip});
+  };
+
+  // cond-alpha verdicts of node outputs, each computed at most once per
+  // c-tuple: a child's output verdict is its parent's input verdict.
+  std::vector<int8_t> alpha_verdicts(tabq.size(), -1);
+  auto alpha_verdict = [&](const OperatorNode* node) -> Result<bool> {
+    int8_t& verdict = alpha_verdicts[tabq.index_of(node)];
+    if (verdict < 0) {
+      NED_ASSIGN_OR_RETURN(
+          bool ok, SatisfiesCondAlpha(compat.cond_alpha,
+                                      *tabq.entry_for(node).output,
+                                      node->output_schema, aggregate_node_,
+                                      ctx));
+      verdict = ok ? 1 : 0;
+    }
+    return verdict == 1;
   };
 
   // ---- Alg. 1 main loop ----------------------------------------------------
@@ -418,35 +502,71 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
     // -- Alg. 3: FindSuccessors(m).
     {
       obs::PhasedSpanScope scope(phases, phase::kSuccessorsFinder, trace);
+      // The blocks m's input rids name: its children's outputs.
+      struct InputBlock {
+        size_t entry;  // TabQ index
+        Rid base;
+        size_t rows;
+      };
+      std::vector<InputBlock> inputs;
+      for (const auto& child : m->children) {
+        const size_t c = tabq.index_of(child.get());
+        const Block& block = *tabq.at(c).output;
+        inputs.push_back({c, block.rid_base(), block.size()});
+      }
+      // The input block holding `rid`, with its row in `*row`.
+      auto locate = [&inputs](Rid rid, size_t* row) -> const InputBlock* {
+        for (const InputBlock& in : inputs) {
+          if (rid - in.base < in.rows) {
+            *row = rid - in.base;
+            return &in;
+          }
+        }
+        return nullptr;
+      };
+
       std::unordered_set<Rid> successors;  // valid successors in m.Output
-      std::unordered_set<Rid> covered;     // compatibles with a successor
-      std::unordered_set<TupleId> surviving_dirs;
+      TupleIdSet surviving_dirs;
       const Block& out = *entry.output;
       for (size_t row = 0; row < out.size(); ++row) {
         NED_EXEC_TICK(ctx);
         // Valid successor of a compatible tuple (Notation 2.1): lineage
         // within D, touching Dir, derived from a compatible input tuple.
         const IdSpan lineage = out.lineage(row);
-        if (!BaseSetSubsetOf(lineage, compat.all)) continue;
-        if (!BaseSetIntersects(lineage, compat.dir)) continue;
+        bool within_d = true;
+        bool touches_dir = false;
+        for (TupleId id : lineage) {
+          const TupleIdSet::Held held = d.Find(id);
+          if (held == TupleIdSet::Held::kNo) {
+            within_d = false;
+            break;
+          }
+          touches_dir |= held == TupleIdSet::Held::kRow;
+        }
+        if (!within_d || !touches_dir) continue;
         bool from_compatible = false;
         for (Rid pred : out.preds(row)) {
-          if (entry.compatibles.count(pred) > 0) {
+          size_t pred_row = 0;
+          const InputBlock* in = locate(pred, &pred_row);
+          if (in != nullptr && fed[in->entry].test(pred_row)) {
             from_compatible = true;
-            covered.insert(pred);
+            covered[in->entry].set(pred_row);
           }
         }
         if (from_compatible) {
           successors.insert(out.rid(row));
-          for (TupleId dir_id : BaseSetIntersection(lineage, compat.dir)) {
-            surviving_dirs.insert(dir_id);
+          fed[i].set(row);
+          for (TupleId id : lineage) {
+            if (d.Find(id) == TupleIdSet::Held::kRow) surviving_dirs.insert(id);
           }
         }
       }
 
       std::unordered_set<Rid> blocked;
       for (Rid c : entry.compatibles) {
-        if (covered.count(c) == 0) blocked.insert(c);
+        size_t row = 0;
+        const InputBlock* in = locate(c, &row);
+        if (in == nullptr || !covered[in->entry].test(row)) blocked.insert(c);
       }
       entry.blocked = blocked;
 
@@ -467,30 +587,27 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
       bool above_v = breakpoint_ != nullptr && m != breakpoint_ &&
                      OperatorNode::IsInSubtree(m, breakpoint_);
       if (!above_v) {
-        if (!blocked.empty()) record_picky(m, blocked, surviving_dirs, false);
+        if (!blocked.empty()) {
+          record_picky(m, std::move(blocked), std::move(surviving_dirs), false);
+        }
       } else {
         NED_ASSIGN_OR_RETURN(
             bool in_ok, [&]() -> Result<bool> {
               // m.Input: union of children outputs; a side satisfies
               // cond-alpha if its typed tuple set does.
               for (const auto& child : m->children) {
-                const Block* child_out = tabq.entry_for(child.get()).output;
-                if (child_out == nullptr) continue;
-                NED_ASSIGN_OR_RETURN(
-                    bool ok,
-                    SatisfiesCondAlpha(compat.cond_alpha, *child_out,
-                                       child->output_schema, aggregate_node_,
-                                       ctx));
+                if (tabq.entry_for(child.get()).output == nullptr) continue;
+                NED_ASSIGN_OR_RETURN(bool ok, alpha_verdict(child.get()));
                 if (ok) return true;
               }
               return false;
             }());
-        NED_ASSIGN_OR_RETURN(
-            bool out_ok,
-            SatisfiesCondAlpha(compat.cond_alpha, *entry.output,
-                               m->output_schema, aggregate_node_, ctx));
-        if (in_ok && !out_ok) record_picky(m, blocked, surviving_dirs, true);
-        else if (!blocked.empty()) record_picky(m, blocked, surviving_dirs, false);
+        NED_ASSIGN_OR_RETURN(bool out_ok, alpha_verdict(m));
+        if (in_ok && !out_ok) {
+          record_picky(m, std::move(blocked), std::move(surviving_dirs), true);
+        } else if (!blocked.empty()) {
+          record_picky(m, std::move(blocked), std::move(surviving_dirs), false);
+        }
       }
     }
   }
@@ -514,11 +631,13 @@ Result<CTupleExplainResult> NedExplainEngine::ExplainCTuple(
         size_t row = 0;
         const Block* block = evaluator->BlockOfRid(b, &row);
         if (block == nullptr) continue;
-        for (TupleId dir_id :
-             BaseSetIntersection(block->lineage(row), compat.dir)) {
+        for (TupleId dir_id : block->lineage(row)) {
           // Def. 2.11: the subquery is picky w.r.t. a Dir tuple only when no
           // valid successor of it survives the subquery.
-          if (rec.surviving_dirs.count(dir_id) > 0) continue;
+          if (!compat.dir.contains(dir_id) ||
+              rec.surviving_dirs.contains(dir_id)) {
+            continue;
+          }
           emitted_pair = true;
           emit(dir_id, rec.node);
         }

@@ -32,6 +32,12 @@ struct TabQEntry {
 
   /// m.Compatibles: rids of input tuples that are compatible tuples or valid
   /// successors thereof.
+  ///
+  /// This set and `blocked` are only inserted into and iterated, in the same
+  /// sequence on every run: their iteration order is the order of the
+  /// served detailed answer, which the answer tier stores and pinned
+  /// digests hash. The engine tests membership on per-block row marks
+  /// instead (core/nedexplain.cpp).
   std::unordered_set<Rid> compatibles;
 
   /// Compatibles without a valid successor in m.Output (set by

@@ -1,48 +1,75 @@
 #include "whynot/compatible_finder.h"
 
 #include <algorithm>
-
-#include "expr/satisfiability.h"
+#include <unordered_set>
 
 namespace ned {
 
-bool IsCompatible(const CTuple& tc, RowView tuple, const Schema& schema) {
-  NED_CHECK(schema.size() > 0);
-  const std::string& alias = schema.at(0).qualifier;
-
-  // Collect the fields referencing this alias. Def. 2.8 (1): the shared type
-  // must be non-empty.
-  bool any_shared = false;
-  std::map<std::string, Value> bindings;
-  for (const auto& [attr, value] : tc.fields()) {
-    if (attr.qualifier != alias) continue;
-    std::optional<size_t> idx = schema.IndexOf(attr);
-    if (!idx.has_value()) continue;  // question names an unknown attribute
-    any_shared = true;
-    const Value& tuple_value = tuple.at(*idx);
+BoundCTuple::BoundCTuple(
+    const std::vector<std::pair<Attribute, CValue>>& fields,
+    const std::vector<CPred>& cond, const Schema& schema) {
+  std::vector<std::string> slot_vars;
+  for (const auto& [attr, value] : fields) {
+    std::optional<size_t> column = schema.IndexOf(attr);
+    if (!column.has_value()) continue;  // the schema lacks the attribute
     if (!value.is_var) {
       // Def. 2.8 (2a): the valuation must map tc.A to t.A -- for constants
       // this requires equality.
-      if (!Value::Satisfies(tuple_value, CompareOp::kEq, value.constant)) {
-        return false;
-      }
-    } else {
-      // Variable field: the valuation binds the variable to t.A; a variable
-      // used twice on this relation must bind consistently.
-      auto it = bindings.find(value.var);
-      if (it != bindings.end()) {
-        if (!Value::Satisfies(it->second, CompareOp::kEq, tuple_value)) {
-          return false;
-        }
-      } else {
-        bindings.emplace(value.var, tuple_value);
-      }
+      constants_.push_back({*column, value.constant});
+      continue;
     }
+    // Variable field: the valuation binds the variable to t.A; a variable
+    // used twice must bind consistently.
+    auto it = std::find(slot_vars.begin(), slot_vars.end(), value.var);
+    const bool binds = it == slot_vars.end();
+    if (binds) it = slot_vars.insert(slot_vars.end(), value.var);
+    vars_.push_back({*column, static_cast<uint32_t>(it - slot_vars.begin()),
+                     binds});
   }
-  if (!any_shared) return false;
+  slots_ = slot_vars.size();
   // Def. 2.8 (2b): the valuation (extended on the free variables) must
   // satisfy tc.cond.
-  return SatisfiableWith(tc.cond(), bindings);
+  cond_ = PreparedCondition(cond, slot_vars);
+}
+
+BoundCTuple BoundCTuple::ForAlias(const CTuple& tc, const Schema& schema) {
+  NED_CHECK(schema.size() > 0);
+  const std::string& alias = schema.at(0).qualifier;
+  std::vector<std::pair<Attribute, CValue>> fields;
+  for (const auto& field : tc.fields()) {
+    if (field.first.qualifier == alias) fields.push_back(field);
+  }
+  return BoundCTuple(fields, tc.cond(), schema);
+}
+
+bool BoundCTuple::Matches(RowView row) const {
+  for (const ConstField& field : constants_) {
+    if (!Value::Satisfies(row[field.column], CompareOp::kEq, field.constant)) {
+      return false;
+    }
+  }
+  const Value* inline_values[8];
+  std::vector<const Value*> heap_values;
+  const Value** values = inline_values;
+  if (slots_ > std::size(inline_values)) {
+    heap_values.resize(slots_);
+    values = heap_values.data();
+  }
+  for (const VarField& field : vars_) {
+    const Value& v = row[field.column];
+    if (field.binds) {
+      values[field.slot] = &v;
+    } else if (!Value::Satisfies(*values[field.slot], CompareOp::kEq, v)) {
+      return false;
+    }
+  }
+  return cond_.SatisfiableWith(values);
+}
+
+bool IsCompatible(const CTuple& tc, RowView tuple, const Schema& schema) {
+  // Def. 2.8 (1): the shared type must be non-empty.
+  const BoundCTuple bound = BoundCTuple::ForAlias(tc, schema);
+  return bound.bound_fields() > 0 && bound.Matches(tuple);
 }
 
 Result<CompatibleSets> FindCompatibles(
@@ -68,28 +95,26 @@ Result<CompatibleSets> FindCompatibles(
   }
   sets.cond_alpha.cond = unrenamed_tc.cond();
 
-  for (const std::string& alias : input.aliases()) {
-    NED_ASSIGN_OR_RETURN(const Block* rows, input.AliasBlock(alias));
+  for (uint32_t ordinal = 0; ordinal < input.aliases().size(); ++ordinal) {
+    const std::string& alias = input.aliases()[ordinal];
+    const Block& rows = input.AliasBlock(ordinal);
     if (referenced_aliases.count(alias) == 0) {
-      // InDir: the whole instance of an unreferenced relation.
+      // InDir: the whole instance of an unreferenced relation, one flag.
       sets.indir_aliases.push_back(alias);
-      for (size_t i = 0; i < rows->size(); ++i) {
-        NED_EXEC_TICK(ctx);
-        sets.indir.insert(rows->rid(i));
-        sets.all.insert(rows->rid(i));
-      }
+      sets.indir.InsertAlias(ordinal, rows.size());
       continue;
     }
     NED_ASSIGN_OR_RETURN(const Schema* schema, input.AliasSchema(alias));
     // S_tc membership even when the scan is empty.
     std::vector<TupleId>& dir_list = sets.dir_by_alias[alias];
-    for (size_t i = 0; i < rows->size(); ++i) {
+    const BoundCTuple bound = BoundCTuple::ForAlias(unrenamed_tc, *schema);
+    if (bound.bound_fields() == 0) continue;  // no shared type: no Dir row
+    for (size_t i = 0; i < rows.size(); ++i) {
       NED_EXEC_TICK(ctx);
-      if (IsCompatible(unrenamed_tc, rows->values(i), *schema)) {
-        const TupleId id = rows->rid(i);
+      if (bound.Matches(rows.values(i))) {
+        const TupleId id = rows.rid(i);
         dir_list.push_back(id);
         sets.dir.insert(id);
-        sets.all.insert(id);
       }
     }
   }

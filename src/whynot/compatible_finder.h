@@ -14,10 +14,10 @@
 
 #include <map>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/evaluator.h"
+#include "expr/satisfiability.h"
 #include "whynot/ctuple.h"
 
 namespace ned {
@@ -36,25 +36,64 @@ struct CondAlpha {
   bool empty() const { return agg_fields.empty(); }
 };
 
-/// Result of CompatibleFinder for one c-tuple.
+/// Result of CompatibleFinder for one c-tuple. Both sets keep one record
+/// per alias ordinal (exec/lineage.h): Dir a row bitmap for each alias the
+/// c-tuple names, InDir a whole-alias flag for each alias it does not name,
+/// so an unreferenced alias costs O(1) whatever its size.
 struct CompatibleSets {
-  std::unordered_set<TupleId> dir;    ///< Dir_tc
-  std::unordered_set<TupleId> indir;  ///< InDir_tc
-  std::unordered_set<TupleId> all;    ///< D = Dir_tc  union  InDir_tc
+  TupleIdSet dir;    ///< Dir_tc
+  TupleIdSet indir;  ///< InDir_tc
   /// Dir tuples per alias; keys form S_tc.
   std::map<std::string, std::vector<TupleId>> dir_by_alias;
   /// S_Q \ S_tc: aliases typing InDir (drives the secondary answer).
   std::vector<std::string> indir_aliases;
   /// cond-alpha content extracted from the c-tuple (empty for SPJ queries).
   CondAlpha cond_alpha;
+};
 
-  size_t dir_size() const { return dir.size(); }
+/// C-tuple fields bound to the columns of one schema, for testing many rows
+/// of it: each field becomes a (column, constant) check or a (column,
+/// variable slot) binding, and the condition a PreparedCondition over the
+/// slots, all resolved once instead of per row. Fields whose attribute the
+/// schema lacks are skipped.
+class BoundCTuple {
+ public:
+  BoundCTuple(const std::vector<std::pair<Attribute, CValue>>& fields,
+              const std::vector<CPred>& cond, const Schema& schema);
+
+  /// The fields of `tc` qualified by `schema`'s alias, bound to `schema`
+  /// (Def. 2.8 looks only at the fields referencing the tuple's relation).
+  static BoundCTuple ForAlias(const CTuple& tc, const Schema& schema);
+
+  /// Number of fields the schema resolved.
+  size_t bound_fields() const { return constants_.size() + vars_.size(); }
+
+  /// True when `row` equals every bound constant, binds each variable to
+  /// one value, and the condition has a valuation extending those values.
+  bool Matches(RowView row) const;
+
+ private:
+  struct ConstField {
+    size_t column;
+    Value constant;
+  };
+  struct VarField {
+    size_t column;
+    uint32_t slot;
+    bool binds;  ///< the slot's first field; later ones must agree with it
+  };
+  std::vector<ConstField> constants_;
+  std::vector<VarField> vars_;  ///< in field order
+  size_t slots_ = 0;
+  PreparedCondition cond_;
 };
 
 /// Decides Def. 2.8 compatibility of one source tuple (typed by `schema`,
 /// which carries the alias qualification) with an unrenamed c-tuple.
 /// Only fields whose qualifier matches `schema`'s alias participate; all
 /// (attribute:value) pairs referencing the alias must co-occur in the tuple.
+/// Binds, then tests: BoundCTuple::ForAlias(tc, schema) with a field bound
+/// and matching `tuple`.
 bool IsCompatible(const CTuple& tc, RowView tuple, const Schema& schema);
 
 /// Computes Dir/InDir for an unrenamed c-tuple over the query input.

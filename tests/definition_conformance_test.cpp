@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -45,7 +46,12 @@ std::map<TupleId, const OperatorNode*> OraclePickyNodes(
       for (TupleId id : o.lineage) {
         if (id == t) contains_t = true;
       }
-      if (contains_t && BaseSetSubsetOf(o.lineage, compat.all)) ++n;
+      const auto in_d = [&](TupleId id) {
+        return compat.dir.contains(id) || compat.indir.contains(id);
+      };
+      if (contains_t && std::all_of(o.lineage.begin(), o.lineage.end(), in_d)) {
+        ++n;
+      }
     }
     return n;
   };

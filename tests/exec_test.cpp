@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "exec/evaluator.h"
@@ -30,14 +31,29 @@ TEST(BaseSet, UnionMergesSorted) {
   EXPECT_TRUE(block.lineage(1) == IdSpan(b));
 }
 
-TEST(BaseSet, SubsetAndIntersection) {
-  std::unordered_set<TupleId> super = {1, 2, 3};
-  EXPECT_TRUE(BaseSetSubsetOf(BaseSet{1, 3}, super));
-  EXPECT_FALSE(BaseSetSubsetOf(BaseSet{1, 4}, super));
-  EXPECT_TRUE(BaseSetSubsetOf(BaseSet{}, super));
-  EXPECT_TRUE(BaseSetIntersects(BaseSet{4, 2}, super));
-  EXPECT_FALSE(BaseSetIntersects(IdSpan(9), super));
-  EXPECT_EQ(BaseSetIntersection(BaseSet{1, 4, 3}, super), (BaseSet{1, 3}));
+TEST(TupleIdSet, WholeAliasesAndRowBitmapsMergeAndIterateAscending) {
+  TupleIdSet set;
+  EXPECT_TRUE(set.insert(MakeTupleId(2, 70)));
+  EXPECT_TRUE(set.insert(MakeTupleId(2, 3)));
+  EXPECT_FALSE(set.insert(MakeTupleId(2, 70)));
+  set.InsertAlias(0, 2);
+  EXPECT_EQ(set.size(), 4u);
+  EXPECT_TRUE(set.contains(MakeTupleId(0, 1)));
+  EXPECT_FALSE(set.contains(MakeTupleId(0, 2)));  // past the alias's rows
+  EXPECT_FALSE(set.contains(MakeTupleId(1, 0)));
+  EXPECT_FALSE(set.contains(MakeTupleId(2, 4)));
+  EXPECT_FALSE(set.insert(MakeTupleId(0, 1)));  // inside a whole alias
+
+  TupleIdSet other;
+  other.insert(MakeTupleId(2, 3));
+  other.insert(MakeTupleId(2, 200));
+  other.InsertAlias(1, 1);
+  set.InsertAll(other);
+  EXPECT_EQ(set.size(), 6u);
+  EXPECT_EQ(std::vector<TupleId>(set.begin(), set.end()),
+            (std::vector<TupleId>{MakeTupleId(0, 0), MakeTupleId(0, 1),
+                                  MakeTupleId(1, 0), MakeTupleId(2, 3),
+                                  MakeTupleId(2, 70), MakeTupleId(2, 200)}));
 }
 
 // ---- QueryInput ----------------------------------------------------------------------
@@ -304,7 +320,8 @@ TEST(Evaluator, LineageInvariantsHoldEverywhere) {
     for (const BlockRow& t : *out) {
       EXPECT_FALSE(t.lineage.empty());
       EXPECT_TRUE(std::is_sorted(t.lineage.begin(), t.lineage.end()));
-      EXPECT_TRUE(BaseSetSubsetOf(t.lineage, base_ids));
+      EXPECT_TRUE(std::all_of(t.lineage.begin(), t.lineage.end(),
+                              [&](TupleId id) { return base_ids.count(id); }));
       if (!node->is_leaf()) {
         EXPECT_FALSE(t.preds.empty());
         EXPECT_TRUE(IsBaseRid(t.lineage.front()));

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datasets/running_example.h"
 #include "tests/test_util.h"
 #include "whynot/compatible_finder.h"
@@ -202,12 +204,18 @@ TEST(CompatibleFinder, PartitionsDirAndInDir) {
   ASSERT_TRUE(sets.ok());
   EXPECT_EQ(sets->dir.size(), 1u);  // t4 only
   EXPECT_EQ(sets->indir.size(), 6u);  // 3 AB rows + 3 B rows
-  EXPECT_EQ(sets->all.size(), 7u);
+  size_t in_d = 0;  // D = Dir u InDir
+  for (const std::string& alias : input->aliases()) {
+    for (const BlockRow& t : **input->AliasBlock(alias)) {
+      in_d += sets->dir.contains(t.rid) || sets->indir.contains(t.rid);
+    }
+  }
+  EXPECT_EQ(in_d, 7u);
   ASSERT_EQ(sets->dir_by_alias.count("A"), 1u);
   EXPECT_EQ(sets->dir_by_alias.at("A").size(), 1u);
   EXPECT_EQ(sets->indir_aliases.size(), 2u);
   // Dir and InDir are disjoint (Def. 2.8).
-  for (TupleId id : sets->dir) EXPECT_EQ(sets->indir.count(id), 0u);
+  for (TupleId id : sets->dir) EXPECT_FALSE(sets->indir.contains(id));
   // cond-alpha captured the aggregate field.
   EXPECT_EQ(sets->cond_alpha.agg_fields.size(), 1u);
   EXPECT_FALSE(sets->cond_alpha.empty());
@@ -256,6 +264,47 @@ TEST(CompatibleFinder, SelfJoinPlacesDirInTheRightAliasOnly) {
   ASSERT_EQ(sets->dir_by_alias.size(), 1u);
   EXPECT_EQ(sets->dir_by_alias.begin()->first, "R2");
   EXPECT_EQ(sets->indir_aliases, (std::vector<std::string>{"R1"}));
+}
+
+TEST(CompatibleFinder, UnreferencedAliasIsOneWholeAliasRecord) {
+  // R is not named by the question: InDir holds all of its rows through one
+  // whole-alias record. E is named but has no rows: it keeps its S_tc
+  // membership with an empty Dir list.
+  Database db;
+  Relation r("R", Schema({{"R", "k"}, {"R", "v"}}));
+  for (int i = 0; i < 3; ++i) r.AddRow({Value::Int(i), Value::Str("r")});
+  NED_CHECK(db.AddRelation(std::move(r)).ok());
+  NED_CHECK(db.AddRelation(Relation("E", Schema({{"E", "k"}, {"E", "w"}}))).ok());
+  QueryTree tree =
+      MustCompile("SELECT R.v, E.w FROM R, E WHERE R.k = E.k", db);
+  auto input = QueryInput::Build(tree, db);
+  ASSERT_TRUE(input.ok());
+  const std::vector<std::string>& aliases = input->aliases();
+  const auto r_ordinal = static_cast<uint32_t>(
+      std::find(aliases.begin(), aliases.end(), "R") - aliases.begin());
+  ASSERT_LT(r_ordinal, aliases.size());
+
+  CTuple tc;
+  tc.Add("E.w", Value::Str("x"));
+  auto sets = FindCompatibles(tc, *input, {});
+  ASSERT_TRUE(sets.ok());
+  EXPECT_TRUE(sets->dir.empty());
+  ASSERT_EQ(sets->dir_by_alias.count("E"), 1u);
+  EXPECT_TRUE(sets->dir_by_alias.at("E").empty());
+  EXPECT_EQ(sets->indir_aliases, (std::vector<std::string>{"R"}));
+
+  EXPECT_EQ(sets->indir.size(), 3u);
+  EXPECT_EQ(std::vector<TupleId>(sets->indir.begin(), sets->indir.end()),
+            (std::vector<TupleId>{MakeTupleId(r_ordinal, 0),
+                                  MakeTupleId(r_ordinal, 1),
+                                  MakeTupleId(r_ordinal, 2)}));
+  EXPECT_TRUE(sets->indir.contains(MakeTupleId(r_ordinal, 2)));
+  EXPECT_FALSE(sets->indir.contains(kInvalidTupleId));
+  EXPECT_FALSE(sets->indir.contains(MakeTupleId(r_ordinal, 3)));
+  const auto past = static_cast<uint32_t>(aliases.size());
+  EXPECT_FALSE(sets->indir.contains(MakeTupleId(past, 0)));
+  EXPECT_FALSE(sets->dir.contains(kInvalidTupleId));
+  EXPECT_FALSE(sets->dir.contains(MakeTupleId(past, 0)));
 }
 
 }  // namespace
