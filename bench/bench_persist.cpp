@@ -9,11 +9,10 @@
 /// with bypass_answer_cache set, so each one executes and pays the full
 /// ACCEPT + COMPLETE journal path -- nothing is served from a cache. The
 /// gate: fsync-lazy journal p99 must stay within 5% of journal-off p99.
-/// Three more configurations are then measured for the report, not gated:
-/// lazy_store (journal + answer store, the full default persistence),
-/// on_rotate, and every_record (power-loss durability per record; expected
-/// to cost real fsyncs -- process death alone never needs any; see
-/// docs/DURABILITY.md).
+/// Two more configurations are then measured for the report, not gated:
+/// lazy_store (journal + answer store, the full default persistence) and
+/// every_record (power-loss durability per record; expected to cost real
+/// fsyncs -- process death alone never needs any; see docs/DURABILITY.md).
 ///
 /// Leg 2 -- recovery time vs journal size. Populate a journal with N
 /// executed requests (2N records), restart, and time Recover(): replay,
@@ -34,6 +33,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/strings.h"
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
   // jbd2 commit it triggers stalls whichever off/lazy sample happens to be
   // in flight (their answer-store temp+rename needs a transaction handle,
   // and starting one blocks during a running commit). The REFERENCE loop
-  // then measures on_rotate and every_record against each other for the
+  // then measures lazy_store and every_record against each other for the
   // report; they are not gated.
   struct Config {
     const char* name;
@@ -199,7 +199,6 @@ int main(int argc, char** argv) {
       // below as lazy_store.
       {"lazy", base + "/submit-lazy", FsyncPolicy::kEveryNMs, false},
       {"lazy_store", base + "/submit-lazystore", FsyncPolicy::kEveryNMs, true},
-      {"on_rotate", base + "/submit-rotate", FsyncPolicy::kOnRotate, true},
       {"every_record", base + "/submit-every", FsyncPolicy::kEveryRecord, true},
   };
   std::vector<std::unique_ptr<WhyNotService>> services;
@@ -363,6 +362,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   out << "{\n  \"benchmark\": \"persist\",\n  \"reps\": " << reps
+      << ",\n  \"cores\": " << std::thread::hardware_concurrency()
       << ",\n  \"smoke\": " << (smoke ? "true" : "false")
       << ",\n  \"workload\": \"" << cases.size()
       << "-case service mix\",\n  \"submit\": {\n";

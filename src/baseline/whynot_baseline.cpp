@@ -107,7 +107,6 @@ Result<WhyNotBaselineResult> WhyNotBaseline::Explain(
   std::unique_ptr<QueryInput> input;
   std::unique_ptr<Evaluator> evaluator;
   {
-    PhaseTimer::Scope scope(&result.phases, phase::kInitialization);
     Result<QueryInput> built = QueryInput::Build(*tree_, *db_, ctx);
     if (!built.ok()) {
       if (IsResourceLimit(built.status())) {
@@ -119,16 +118,12 @@ Result<WhyNotBaselineResult> WhyNotBaseline::Explain(
     input = std::make_unique<QueryInput>(std::move(built).value());
     evaluator = std::make_unique<Evaluator>(tree_, input.get(), ctx);
   }
-  {
-    PhaseTimer::Scope scope(&result.phases, phase::kBottomUp);
-    auto root = evaluator->EvalAll();
-    if (!root.ok()) {
-      if (IsResourceLimit(root.status())) {
-        mark_partial(root.status());
-        return result;
-      }
-      return root.status();
+  if (Result<const Block*> root = evaluator->EvalAll(); !root.ok()) {
+    if (IsResourceLimit(root.status())) {
+      mark_partial(root.status());
+      return result;
     }
+    return root.status();
   }
 
   for (const CTuple& tc : question.ctuples()) {
@@ -139,21 +134,18 @@ Result<WhyNotBaselineResult> WhyNotBaseline::Explain(
     // One traced set per piece (field) of the missing answer: the algorithm
     // follows each piece's matching source tuples independently.
     std::vector<std::unordered_set<Rid>> piece_items;
-    {
-      PhaseTimer::Scope scope(&result.phases, phase::kCompatibleFinder);
-      for (const auto& field : tc.fields()) {
-        Result<std::unordered_set<TupleId>> items =
-            FindPieceItems(tc, field, *input, ctx);
-        if (!items.ok()) {
-          if (IsResourceLimit(items.status())) {
-            mark_partial(items.status());
-            break;
-          }
-          return items.status();
+    for (const auto& field : tc.fields()) {
+      Result<std::unordered_set<TupleId>> items =
+          FindPieceItems(tc, field, *input, ctx);
+      if (!items.ok()) {
+        if (IsResourceLimit(items.status())) {
+          mark_partial(items.status());
+          break;
         }
-        part.unpicked_items += items->size();
-        piece_items.push_back(std::move(items).value());
+        return items.status();
       }
+      part.unpicked_items += items->size();
+      piece_items.push_back(std::move(items).value());
     }
     if (!result.complete) {
       result.per_ctuple.push_back(std::move(part));
@@ -178,7 +170,6 @@ Result<WhyNotBaselineResult> WhyNotBaseline::Explain(
     // mirrors the original implementation, which issued a Trio lineage query
     // for each manipulation's output -- the overhead the paper identifies as
     // the baseline's main cost (Sec. 4.3).
-    PhaseTimer::Scope scope(&result.phases, phase::kSuccessorsFinder);
 
     // Recursive lineage derivation (the simulated per-tuple lineage query):
     // follow preds down the provenance graph, decoding each rid to its

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "algebra/query_tree.h"
-#include "common/timer.h"
 #include "exec/evaluator.h"
 #include "whynot/ctuple.h"
 
@@ -61,7 +60,6 @@ struct WhyNotBaselineResult {
   std::string unsupported_reason;
   std::vector<const OperatorNode*> answer;  ///< frontier picky manipulations
   std::vector<BaselineCTupleResult> per_ctuple;
-  PhaseTimer phases;
   /// False when a resource limit (deadline/budget/cancellation) stopped the
   /// run; `answer` then holds only the manipulations found so far and
   /// `limit_status` names the tripped limit.

@@ -80,23 +80,6 @@ class Stopwatch {
 /// Accumulates elapsed time per named phase.
 class PhaseTimer {
  public:
-  /// RAII scope that charges its lifetime to `phase`.
-  class Scope {
-   public:
-    Scope(PhaseTimer* timer, std::string phase)
-        : timer_(timer), phase_(std::move(phase)) {}
-    ~Scope() {
-      if (timer_ != nullptr) timer_->Add(phase_, watch_.ElapsedNanos());
-    }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    PhaseTimer* timer_;
-    std::string phase_;
-    Stopwatch watch_;
-  };
-
   void Add(const std::string& phase, int64_t nanos) { nanos_[phase] += nanos; }
 
   /// Total nanoseconds charged to `phase` (0 if never seen).

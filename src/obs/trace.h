@@ -121,9 +121,9 @@ class SpanScope {
 
 /// Charges a PhaseTimer phase AND emits a same-named span from one pair of
 /// clock readings, so trace-derived Fig. 5 numbers equal timer-derived ones
-/// by construction. With no trace attached it degrades to the plain
-/// Stopwatch-based PhaseTimer::Scope behaviour (real wall clock), keeping
-/// the untraced path identical to what bench_fig5 always measured.
+/// by construction. With no trace attached it charges the phase from a
+/// Stopwatch (real wall clock), keeping the untraced path identical to what
+/// bench_fig5 always measured.
 class PhasedSpanScope {
  public:
   PhasedSpanScope(PhaseTimer* timer, const char* phase, Trace* trace)

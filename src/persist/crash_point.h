@@ -32,9 +32,8 @@ enum class CrashPoint : uint8_t {
   /// Record fully written but not fsynced; simulates power loss by rolling
   /// the file back to the last synced offset.
   kJournalUnsyncedAppend,
-  /// After the old segment is closed, before the new one exists.
-  kJournalBetweenSegments,
-  /// New segment created, magic header not yet written.
+  /// Open created the run's fresh segment but has not written its magic
+  /// header: Open fails and leaves an empty segment behind.
   kJournalBeforeSegmentMagic,
   // --- answer store ---
   /// Before the entry temp file is created.

@@ -64,7 +64,11 @@ Result<std::vector<uint64_t>> ListSegments(const std::string& dir) {
 Result<std::string> ReadWholeFile(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return ErrnoStatus("cannot open", path);
+  // A segment holds a whole run's records: size the buffer once rather
+  // than regrow it chunk by chunk.
   std::string data;
+  struct stat st;
+  if (::fstat(fd, &st) == 0) data.reserve(static_cast<size_t>(st.st_size));
   char buf[1 << 16];
   for (;;) {
     const ssize_t n = ::read(fd, buf, sizeof(buf));
@@ -212,10 +216,6 @@ Journal::~Journal() {
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ >= 0) {
     (void)SyncLocked();
-    // Trim the preallocation: a cleanly closed segment is exactly its
-    // records (recovery discards a zero tail anyway, this just keeps
-    // on-disk journals byte-exact for tools and tests).
-    (void)::ftruncate(fd_, static_cast<off_t>(segment_size_));
     ::close(fd_);
     fd_ = -1;
   }
@@ -225,49 +225,8 @@ Status Journal::OpenFreshSegmentLocked(uint64_t index) {
   const std::string path = options_.dir + "/" + SegmentName(index);
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
   if (fd < 0) return ErrnoStatus("cannot create segment", path);
-  // Zero-fill the whole segment up front and fsync it once (PostgreSQL's
-  // wal_init_zero). Appends then overwrite already-initialized blocks in
-  // place: no i_size extension and no unwritten-extent conversion, so the
-  // lazy flusher's fdatasync is a pure data flush that forces no
-  // filesystem-journal commit -- those commits stall every concurrent
-  // metadata op (the answer store's create+rename among them) and show up
-  // directly in client Submit tail latency. posix_fallocate is NOT enough:
-  // it leaves extents unwritten, and converting them on first write is
-  // itself a metadata change that fdatasync must commit. Zeros past the
-  // written tail decode as invalid frames, which recovery already truncates
-  // away; a cleanly closed journal trims them in the destructor. Best
-  // effort: if initialization fails (ENOSPC and friends), fall back to
-  // grow-on-write.
-  {
-    const size_t target =
-        std::max<size_t>(options_.segment_bytes, sizeof(kMagic));
-    static const std::string zeros(1u << 16, '\0');
-    size_t filled = 0;
-    bool fill_ok = true;
-    while (filled < target) {
-      const size_t n = std::min(zeros.size(), target - filled);
-      const ssize_t w = ::write(fd, zeros.data(), n);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        fill_ok = false;
-        break;
-      }
-      filled += static_cast<size_t>(w);
-    }
-    if (fill_ok) {
-      (void)::fsync(fd);  // full fsync: the allocation is metadata
-    } else {
-      (void)::ftruncate(fd, 0);
-    }
-    if (::lseek(fd, 0, SEEK_SET) != 0) {
-      ::close(fd);
-      return ErrnoStatus("cannot rewind fresh segment", path);
-    }
-  }
   fd_ = fd;
   segment_index_ = index;
-  segment_size_ = 0;
-  synced_size_ = 0;
   if (options_.crash != nullptr &&
       options_.crash->ShouldCrash(CrashPoint::kJournalBeforeSegmentMagic)) {
     broken_ = true;
@@ -300,7 +259,6 @@ Status Journal::WriteRawLocked(std::string_view bytes) {
 }
 
 Status Journal::SyncLocked() {
-  if (fd_ < 0) return Status::Internal("journal closed");
   if (synced_size_ == segment_size_) return Status::OK();
   // fdatasync, not fsync: an append-only log needs the data and the file
   // size durable (both covered), not the inode's timestamps -- and skipping
@@ -316,9 +274,8 @@ Status Journal::SyncLocked() {
 }
 
 Status Journal::Append(JournalRecordType type, std::string_view payload) {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (broken_) return Status::Unavailable("journal broken by earlier failure");
-  if (fd_ < 0) return Status::Internal("journal closed");
   CrashInjector* crash = options_.crash;
 
   if (crash != nullptr && crash->ShouldCrash(CrashPoint::kJournalBeforeAppend)) {
@@ -348,32 +305,14 @@ Status Journal::Append(JournalRecordType type, std::string_view payload) {
   if (options_.fsync == FsyncPolicy::kEveryRecord) {
     NED_RETURN_NOT_OK(SyncLocked());
   }
-
-  if (segment_size_ >= options_.segment_bytes) {
-    // Rotate: the closing segment is always fsynced so rotation never
-    // weakens durability below the configured policy. The flusher may be
-    // fsyncing this fd outside the lock; it must finish before the close.
-    while (sync_in_progress_) sync_cv_.wait(lock);
-    NED_RETURN_NOT_OK(SyncLocked());
-    ::close(fd_);
-    fd_ = -1;
-    if (crash != nullptr &&
-        crash->ShouldCrash(CrashPoint::kJournalBetweenSegments)) {
-      broken_ = true;
-      return CrashStatus("between segments");
-    }
-    NED_RETURN_NOT_OK(OpenFreshSegmentLocked(segment_index_ + 1));
-    rotations_.fetch_add(1, std::memory_order_relaxed);
-  }
   return Status::OK();
 }
 
 Status Journal::Sync() {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (broken_) return Status::Unavailable("journal broken by earlier failure");
-  // An in-flight flusher fsync may already cover (part of) the dirty range;
-  // let it publish before deciding whether anything is left to sync.
-  while (sync_in_progress_) sync_cv_.wait(lock);
+  // The flusher may be in an off-lock fdatasync of the same fd; a second
+  // fdatasync beside it is safe, and both only ever raise synced_size_.
   return SyncLocked();
 }
 
@@ -399,7 +338,6 @@ JournalStats Journal::stats() const {
   JournalStats out = open_stats_;
   out.appends = appends_.load(std::memory_order_relaxed);
   out.syncs = syncs_.load(std::memory_order_relaxed);
-  out.rotations = rotations_.load(std::memory_order_relaxed);
   out.bytes_written = bytes_written_.load(std::memory_order_relaxed);
   return out;
 }
@@ -412,22 +350,17 @@ void Journal::FlusherMain() {
     flusher_cv_.wait_for(lock, interval,
                          [this] { return stop_flusher_; });
     if (stop_flusher_) break;
-    if (fd_ < 0 || broken_ || synced_size_ == segment_size_) continue;
+    if (broken_ || synced_size_ == segment_size_) continue;
     // fsync with the lock RELEASED: a lazy-mode flush must never stall
     // Append (the service's Submit path holds its own lock across Append,
-    // so a blocked Append here becomes a blocked client). Capture the fd
-    // and target offset, sync, re-lock, publish. Rotation waits on
-    // sync_in_progress_ before closing the fd, so it cannot be closed (or
-    // reused) under the fsync.
-    sync_in_progress_ = true;
+    // so a blocked Append here becomes a blocked client). Capture the
+    // target offset, sync, re-lock, publish. The fd stays open for this
+    // thread's whole life: only the destructor closes it, after the join.
     const int fd = fd_;
     const uint64_t target = segment_size_;
     lock.unlock();
     const int rc = ::fdatasync(fd);
     lock.lock();
-    sync_in_progress_ = false;
-    sync_cv_.notify_all();
-    if (fd != fd_) continue;  // defensive: a close site that did not wait
     if (rc != 0) {
       broken_ = true;
       continue;

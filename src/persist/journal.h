@@ -1,5 +1,5 @@
 /// \file journal.h
-/// \brief Append-only, CRC-framed, segment-rotating request journal.
+/// \brief Append-only, CRC-framed request journal: one segment per Open.
 ///
 /// The journal is the service's write-ahead log: an ACCEPT record is
 /// durable before a request is admitted, a COMPLETE or SHED record before
@@ -12,20 +12,24 @@
 ///
 ///   [u8 type][u32 payload_len][u64 seq][payload][u32 crc]
 ///
-/// with the CRC covering header + payload. Open() scans segments in order
-/// and stops at the FIRST record that fails its frame check -- torn tail,
-/// flipped bit, truncated header, anything -- truncates the segment there
-/// and deletes all later segments. Recovered records are therefore always
-/// an exact prefix of what was appended: the journal never fabricates and
-/// never resurrects bytes past a corruption. A fresh segment is started on
-/// every Open, so recovery never appends after a truncation point.
+/// with the CRC covering header + payload. Every Open starts a fresh
+/// segment, created holding only the magic, and appends to it by plain
+/// write()s until the journal closes; a segment never rotates, so it holds
+/// one run's records. Old segments go only when service recovery compacts
+/// them (DropOldSegments). Open() scans segments in order and stops at the
+/// FIRST record that fails its frame check -- torn tail, flipped bit,
+/// truncated header, the zero tail an older binary's preallocation left,
+/// anything -- truncates the segment there and deletes all later segments.
+/// Recovered records are therefore always an exact prefix of what was
+/// appended: the journal never fabricates and never resurrects bytes past
+/// a corruption. Because each Open starts a fresh segment, recovery never
+/// appends after a truncation point.
 ///
 /// Fsync policy trades latency for power-loss durability (process death --
 /// including SIGKILL -- never loses write()n bytes; see docs/DURABILITY.md):
 ///   kEveryRecord  fsync before Append returns (group-commit safe default
 ///                 for tests; slowest)
 ///   kEveryNMs     background flusher fsyncs on an interval (default)
-///   kOnRotate     fsync only when a segment closes
 
 #ifndef NED_PERSIST_JOURNAL_H_
 #define NED_PERSIST_JOURNAL_H_
@@ -51,12 +55,10 @@ enum class JournalRecordType : uint8_t {
   kShed = 3,      ///< payload = key; request finally failed or was shed
 };
 
-enum class FsyncPolicy : uint8_t { kEveryRecord, kEveryNMs, kOnRotate };
+enum class FsyncPolicy : uint8_t { kEveryRecord, kEveryNMs };
 
 struct JournalOptions {
   std::string dir;
-  /// Rotate to a new segment once the current one reaches this size.
-  size_t segment_bytes = 4u << 20;
   FsyncPolicy fsync = FsyncPolicy::kEveryNMs;
   int fsync_interval_ms = 250;
   /// Optional deterministic crash injection (ned_crashtest, persist_test).
@@ -72,7 +74,6 @@ struct JournalRecord {
 struct JournalStats {
   uint64_t appends = 0;
   uint64_t syncs = 0;
-  uint64_t rotations = 0;
   uint64_t bytes_written = 0;
   // Set by Open():
   uint64_t recovered_records = 0;
@@ -89,7 +90,8 @@ class Journal {
   static Result<std::unique_ptr<Journal>> Open(
       const JournalOptions& options, std::vector<JournalRecord>* recovered);
 
-  /// Flushes, fsyncs and closes the current segment.
+  /// Stops the flusher, then fsyncs and closes the segment. This is the
+  /// only place the segment's fd is closed.
   ~Journal();
 
   /// Appends one record; thread-safe. Durability on return is governed by
@@ -97,8 +99,8 @@ class Journal {
   /// leaves the journal unusable for further appends.
   Status Append(JournalRecordType type, std::string_view payload);
 
-  /// Forces an fsync of the current segment (used by drain and by the
-  /// kEveryNMs flusher).
+  /// Forces an fdatasync of the segment (drain, shutdown and recovery call
+  /// it); safe beside the kEveryNMs flusher's own off-lock fdatasync.
   Status Sync();
 
   /// Deletes every segment older than the one currently being written.
@@ -142,7 +144,6 @@ class Journal {
   /// mu_ anyway; the atomics exist for the off-lock readers.
   std::atomic<uint64_t> appends_{0};
   std::atomic<uint64_t> syncs_{0};
-  std::atomic<uint64_t> rotations_{0};
   std::atomic<uint64_t> bytes_written_{0};
   /// Recovery-time fields (recovered_records, truncated_bytes,
   /// dropped_segments): written by Open() before any other thread can see
@@ -152,10 +153,6 @@ class Journal {
   std::thread flusher_;
   std::condition_variable flusher_cv_;
   bool stop_flusher_ = false;
-  /// True while the flusher is fsyncing outside the lock; fd_ must not be
-  /// closed (rotation) until it drops back to false.
-  bool sync_in_progress_ = false;
-  std::condition_variable sync_cv_;
 };
 
 }  // namespace ned

@@ -163,7 +163,6 @@ WhyNotService::WhyNotService(std::shared_ptr<Catalog> catalog,
     // store directory is a deployment error, not something to run without.
     JournalOptions jopts;
     jopts.dir = options_.persist_dir + "/journal";
-    jopts.segment_bytes = options_.journal_segment_bytes;
     jopts.fsync = options_.journal_fsync;
     jopts.fsync_interval_ms = options_.journal_fsync_interval_ms;
     auto journal = Journal::Open(jopts, &recovered_records_);
@@ -296,8 +295,6 @@ void WhyNotService::CollectMirrors() {
         ->Set(static_cast<int64_t>(j.appends));
     registry_.GetGauge("ned_journal_syncs")
         ->Set(static_cast<int64_t>(j.syncs));
-    registry_.GetGauge("ned_journal_rotations")
-        ->Set(static_cast<int64_t>(j.rotations));
     registry_.GetGauge("ned_journal_bytes_written")
         ->Set(static_cast<int64_t>(j.bytes_written));
   }

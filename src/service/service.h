@@ -127,9 +127,12 @@ struct ServiceOptions {
   /// `<persist_dir>/store` (its disk half); Recover() replays them after a
   /// restart.
   std::string persist_dir;
-  /// Journal fsync policy and knobs (see persist/journal.h). The default
-  /// kEveryNMs survives process death (including SIGKILL) with no fsync on
-  /// the Submit path; kEveryRecord additionally survives power loss.
+  /// Journal fsync policy and cadence (see persist/journal.h). Each service
+  /// start appends to one fresh journal segment, never rotated; Recover()
+  /// deletes the older ones once it has re-journaled their live state. The
+  /// default kEveryNMs survives process death (including SIGKILL) with no
+  /// fsync on the Submit path; kEveryRecord additionally survives power
+  /// loss.
   FsyncPolicy journal_fsync = FsyncPolicy::kEveryNMs;
   /// Lazy-mode flush cadence: the power-loss exposure window, and the only
   /// cost the journal puts on serving (the flusher's fdatasync competes for
@@ -137,7 +140,6 @@ struct ServiceOptions {
   /// contention out of Submit p99 while staying 4x tighter than e.g.
   /// Redis's everysec. Process death (SIGKILL) needs no fsync at all.
   int journal_fsync_interval_ms = 250;
-  size_t journal_segment_bytes = 4u << 20;
   /// When false, run journal-only durability: exactly-once admission and
   /// the idempotency book still survive restarts, but the answer tier has
   /// no disk half -- a recovered completion simply recomputes on

@@ -231,17 +231,6 @@ TEST(Timer, PhaseAccumulation) {
   EXPECT_EQ(timer.TotalNanos(), 0);
 }
 
-TEST(Timer, ScopeChargesElapsedTime) {
-  PhaseTimer timer;
-  {
-    PhaseTimer::Scope scope(&timer, "phase");
-    volatile int sink = 0;
-    for (int i = 0; i < 10000; ++i) sink = sink + i;
-    (void)sink;
-  }
-  EXPECT_GT(timer.Nanos("phase"), 0);
-}
-
 TEST(Timer, StopwatchMonotone) {
   Stopwatch watch;
   int64_t t1 = watch.ElapsedNanos();

@@ -262,31 +262,32 @@ std::vector<std::string> Payloads(const std::vector<JournalRecord>& records) {
   return out;
 }
 
-/// Appends `count` records "p0".."pN" and closes the journal; returns the
-/// payloads.
+/// Appends `count` records "payload-0".."payload-N" over `runs` Open/close
+/// cycles, so the journal ends with `runs` segments; returns the payloads.
 std::vector<std::string> FillJournal(const std::string& dir, int count,
-                                     size_t segment_bytes) {
+                                     int runs = 1) {
   JournalOptions options;
   options.dir = dir;
-  options.segment_bytes = segment_bytes;
   options.fsync = FsyncPolicy::kEveryRecord;
-  std::vector<JournalRecord> recovered;
-  auto journal = Journal::Open(options, &recovered);
-  NED_CHECK(journal.ok());
-  NED_CHECK(recovered.empty());
   std::vector<std::string> payloads;
-  for (int i = 0; i < count; ++i) {
-    const std::string payload = StrCat("payload-", i);
-    NED_CHECK((*journal)->Append(JournalRecordType::kAccept, payload).ok());
-    payloads.push_back(payload);
+  for (int run = 0; run < runs; ++run) {
+    std::vector<JournalRecord> recovered;
+    auto journal = Journal::Open(options, &recovered);
+    NED_CHECK(journal.ok());
+    NED_CHECK(recovered.size() == payloads.size());
+    for (int i = run * count / runs; i < (run + 1) * count / runs; ++i) {
+      const std::string payload = StrCat("payload-", i);
+      NED_CHECK((*journal)->Append(JournalRecordType::kAccept, payload).ok());
+      payloads.push_back(payload);
+    }
   }
   return payloads;
 }
 
-TEST(Journal, RecoversAcrossRotationsWithContinuedSeqs) {
-  const std::string dir = FreshDir("journal_rotate");
-  // ~26-byte frames against 64-byte segments: several rotations.
-  const std::vector<std::string> payloads = FillJournal(dir, 12, 64);
+TEST(Journal, RecoversAcrossRunsWithContinuedSeqs) {
+  const std::string dir = FreshDir("journal_runs");
+  // Four runs of three records: four segments, reopened between appends.
+  const std::vector<std::string> payloads = FillJournal(dir, 12, 4);
   JournalOptions options;
   options.dir = dir;
   std::vector<JournalRecord> recovered;
@@ -312,8 +313,8 @@ TEST(Journal, RecoversAcrossRotationsWithContinuedSeqs) {
 
 TEST(Journal, TruncationAtEveryByteOffsetRecoversAnExactPrefix) {
   const std::string fill_dir = FreshDir("journal_trunc_src");
-  // One huge segment so every record lives in seg-000000.wal.
-  const std::vector<std::string> payloads = FillJournal(fill_dir, 8, 1u << 20);
+  // One run, so every record lives in seg-000000.wal.
+  const std::vector<std::string> payloads = FillJournal(fill_dir, 8);
   auto original = ReadFile(fill_dir + "/" + Journal::SegmentName(0));
   ASSERT_TRUE(original.ok());
   // Record end offsets within the file: magic, then one frame per record.
@@ -354,7 +355,7 @@ TEST(Journal, TruncationAtEveryByteOffsetRecoversAnExactPrefix) {
 
 TEST(Journal, RandomBitFlipsAlwaysYieldACleanPrefix) {
   const std::string fill_dir = FreshDir("journal_flip_src");
-  const std::vector<std::string> payloads = FillJournal(fill_dir, 8, 1u << 20);
+  const std::vector<std::string> payloads = FillJournal(fill_dir, 8);
   auto original = ReadFile(fill_dir + "/" + Journal::SegmentName(0));
   ASSERT_TRUE(original.ok());
   Rng rng(20260809);
@@ -391,7 +392,7 @@ TEST(Journal, RandomBitFlipsAlwaysYieldACleanPrefix) {
 
 TEST(Journal, CorruptionInAnEarlySegmentDropsAllLaterSegments) {
   const std::string dir = FreshDir("journal_multiseg");
-  const std::vector<std::string> payloads = FillJournal(dir, 12, 64);
+  const std::vector<std::string> payloads = FillJournal(dir, 12, 4);
   // Flip a byte in the middle of the first segment's record area.
   const std::string seg0 = dir + "/" + Journal::SegmentName(0);
   auto data = ReadFile(seg0);
@@ -428,10 +429,11 @@ TEST(Journal, FsyncPolicies) {
     EXPECT_GE((*journal)->stats().syncs, syncs_before + 2);
   }
   {
-    const std::string dir = FreshDir("journal_fsync_rotate");
+    const std::string dir = FreshDir("journal_fsync_explicit");
     JournalOptions options;
     options.dir = dir;
-    options.fsync = FsyncPolicy::kOnRotate;
+    options.fsync = FsyncPolicy::kEveryNMs;
+    options.fsync_interval_ms = 60'000;  // the flusher never wakes here
     std::vector<JournalRecord> recovered;
     auto journal = Journal::Open(options, &recovered);
     ASSERT_TRUE(journal.ok());
@@ -467,7 +469,7 @@ TEST(Journal, FsyncPolicies) {
 
 TEST(Journal, DropOldSegmentsKeepsOnlyTheCurrentOne) {
   const std::string dir = FreshDir("journal_drop");
-  FillJournal(dir, 12, 64);
+  FillJournal(dir, 12, 4);
   JournalOptions options;
   options.dir = dir;
   std::vector<JournalRecord> recovered;
@@ -483,6 +485,79 @@ TEST(Journal, DropOldSegmentsKeepsOnlyTheCurrentOne) {
   // Only the fresh segment's record survives the compaction.
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0].payload, "keep");
+}
+
+TEST(Journal, ZeroPaddedSegmentFromAnOlderBinaryRecoversItsRecords) {
+  // Older binaries zero-filled each segment up front, so a SIGKILLed run
+  // left its records followed by zeros up to the preallocated size.
+  const std::string dir = FreshDir("journal_zero_tail");
+  std::string segment(Journal::kMagic, sizeof(Journal::kMagic));
+  const std::vector<std::string> payloads = {"first", "second", "third"};
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    segment += Journal::FrameRecord(JournalRecordType::kAccept, i + 1,
+                                    payloads[i]);
+  }
+  const size_t records_end = segment.size();
+  segment.resize(64u << 10, '\0');
+  ASSERT_TRUE(WriteFile(dir + "/" + Journal::SegmentName(0), segment).ok());
+  JournalOptions options;
+  options.dir = dir;
+  std::vector<JournalRecord> recovered;
+  auto journal = Journal::Open(options, &recovered);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  EXPECT_EQ(Payloads(recovered), payloads);
+  EXPECT_EQ((*journal)->stats().truncated_bytes, segment.size() - records_end);
+  EXPECT_EQ((*journal)->stats().dropped_segments, 0u);
+  NED_EXPECT_OK((*journal)->Append(JournalRecordType::kComplete, "next"));
+  journal->reset();
+  std::vector<JournalRecord> again;
+  auto reopened = Journal::Open(options, &again);
+  ASSERT_TRUE(reopened.ok());
+  ASSERT_EQ(again.size(), 4u);
+  EXPECT_EQ(again.back().payload, "next");
+  EXPECT_EQ(again.back().seq, 4u);
+}
+
+TEST(Journal, ExplicitSyncRacesTheFlusherSafely) {
+  // Sync() fdatasyncs under the lock while the flusher fdatasyncs the same
+  // fd outside it; neither may lose, reorder or break anything.
+  const std::string dir = FreshDir("journal_sync_race");
+  JournalOptions options;
+  options.dir = dir;
+  options.fsync = FsyncPolicy::kEveryNMs;
+  options.fsync_interval_ms = 1;
+  std::vector<JournalRecord> recovered;
+  auto journal = Journal::Open(options, &recovered);
+  ASSERT_TRUE(journal.ok());
+  const uint64_t syncs_before = (*journal)->stats().syncs;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  std::vector<std::string> acked;
+  int append_failures = 0;
+  std::thread appender([&] {
+    for (int i = 0; std::chrono::steady_clock::now() < deadline; ++i) {
+      const std::string payload = StrCat("race-", i);
+      if ((*journal)->Append(JournalRecordType::kAccept, payload).ok()) {
+        acked.push_back(payload);
+      } else {
+        ++append_failures;
+      }
+    }
+  });
+  int sync_failures = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (!(*journal)->Sync().ok()) ++sync_failures;
+  }
+  appender.join();
+  EXPECT_EQ(append_failures, 0);
+  EXPECT_EQ(sync_failures, 0);
+  EXPECT_GT((*journal)->stats().syncs, syncs_before);
+  ASSERT_FALSE(acked.empty());
+  journal->reset();
+  std::vector<JournalRecord> after;
+  auto reopened = Journal::Open(options, &after);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(Payloads(after), acked);
 }
 
 // ---- answer store ----------------------------------------------------------

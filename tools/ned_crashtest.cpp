@@ -10,7 +10,8 @@
 ///      - journal recovery always yields the *exact prefix* of acked
 ///        (Append-returned-OK) records -- never a lost acked record, never
 ///        a fabricated or resurrected one, for torn tails, unsynced
-///        rollbacks and interrupted rotations alike;
+///        rollbacks and a re-Open that dies before its fresh segment's
+///        magic alike;
 ///      - the journal fails closed after an IO crash (no silent appends);
 ///      - an interrupted store Put leaves either no entry or a complete
 ///        byte-identical entry -- never a torn or fabricated answer -- and
@@ -299,53 +300,59 @@ struct FailCounter {
   }
 };
 
-/// One journal leg: append until the armed point fires, re-open, and assert
-/// the recovered sequence is exactly the acked prefix.
+/// One journal leg: append six acked records, crash at `point` -- inside
+/// the next Append, or, for before-magic, inside a re-Open -- then re-open
+/// as a fresh process would and assert exactly the acked records come
+/// back, in order with seqs 1..6, and that the next append continues them.
 void RunJournalCrashLeg(const std::string& base, CrashPoint point,
-                        const char* name, int arm_count, FailCounter* fail) {
+                        const char* name, FailCounter* fail) {
   const std::string dir = ned::StrCat(base, "/sim-journal-", name);
   RemoveTree(dir);
   CrashInjector injector;
   JournalOptions options;
   options.dir = dir;
-  options.segment_bytes = 160;  // tiny: a few records per segment
   options.fsync = ned::FsyncPolicy::kEveryRecord;
   options.crash = &injector;
   std::vector<JournalRecord> recovered;
   auto journal = Journal::Open(options, &recovered);
-  if (!journal.ok()) {
-    (*fail)(ned::StrCat(name, ": open failed: ",
-                        journal.status().ToString()));
+  if (!journal.ok() || !recovered.empty()) {
+    (*fail)(ned::StrCat(name, ": fresh open failed or recovered records"));
     return;
   }
-  if (!recovered.empty()) {
-    (*fail)(ned::StrCat(name, ": fresh dir recovered ", recovered.size(),
-                        " records"));
-  }
-  injector.Arm(point, arm_count);
   std::vector<std::string> acked;
-  bool crashed = false;
-  for (int i = 0; i < 40 && !crashed; ++i) {
-    const std::string payload = ned::StrCat("record-", i);
-    const Status st = (*journal)->Append(JournalRecordType::kAccept, payload);
-    if (st.ok()) {
-      acked.push_back(payload);
-    } else {
-      crashed = true;
+  for (int i = 0; i < 6; ++i) {
+    acked.push_back(ned::StrCat("record-", i));
+    if (!(*journal)->Append(JournalRecordType::kAccept, acked.back()).ok()) {
+      (*fail)(ned::StrCat(name, ": clean append failed"));
+      return;
     }
   }
-  if (!crashed || !injector.fired()) {
-    (*fail)(ned::StrCat(name, ": armed crash never fired"));
-    return;
+  injector.Arm(point, 1);
+  uint64_t dropped = 0;
+  if (point == CrashPoint::kJournalBeforeSegmentMagic) {
+    journal->reset();
+    if (Journal::Open(options, &recovered).ok() || !injector.fired()) {
+      (*fail)(ned::StrCat(name, ": armed Open did not crash"));
+      return;
+    }
+    dropped = 1;  // the fresh segment that never got its magic
+  } else {
+    if ((*journal)->Append(JournalRecordType::kAccept, "record-6").ok() ||
+        !injector.fired()) {
+      (*fail)(ned::StrCat(name, ": armed crash never fired"));
+      return;
+    }
+    // Fail-closed: the journal must refuse appends after the crash, so a
+    // half-written log can never silently grow.
+    if ((*journal)->Append(JournalRecordType::kShed, "late").ok()) {
+      (*fail)(ned::StrCat(name, ": journal accepted an append after a crash"));
+    }
+    journal->reset();  // close as much as a dying process would
   }
-  // Fail-closed: the journal must refuse appends after the crash, so a
-  // half-written log can never silently grow.
-  if ((*journal)->Append(JournalRecordType::kShed, "late").ok()) {
-    (*fail)(ned::StrCat(name, ": journal accepted an append after a crash"));
-  }
-  journal->reset();  // close as much as a dying process would
-  injector.Disarm();
   options.crash = nullptr;
+  // No point leaves a durable record behind (a torn prefix is truncated,
+  // an unsynced one rolled back, a magic-less segment dropped), so exactly
+  // the acked records come back: one more would be a fabrication.
   std::vector<JournalRecord> after;
   auto reopened = Journal::Open(options, &after);
   if (!reopened.ok()) {
@@ -353,36 +360,34 @@ void RunJournalCrashLeg(const std::string& base, CrashPoint point,
                         reopened.status().ToString()));
     return;
   }
-  // The contract: every acked record recovered, in order, nothing
-  // fabricated. The rotation points fire *after* the triggering record was
-  // written and synced (Append then returns an error), so exactly one
-  // unacked-but-durable record may follow the acked prefix -- harmless, the
-  // client saw a failure and never trusted it; anything beyond that is a
-  // fabrication.
-  if (after.size() != acked.size() && after.size() != acked.size() + 1) {
+  if (after.size() != acked.size()) {
     (*fail)(ned::StrCat(name, ": recovered ", after.size(),
                         " records for ", acked.size(), " acked"));
     return;
   }
   for (size_t i = 0; i < acked.size(); ++i) {
-    if (after[i].payload != acked[i]) {
-      (*fail)(ned::StrCat(name, ": record ", i, " payload mismatch"));
-      return;
-    }
-    if (after[i].seq != i + 1) {
-      (*fail)(ned::StrCat(name, ": record ", i, " has seq ", after[i].seq));
+    if (after[i].payload != acked[i] || after[i].seq != i + 1) {
+      (*fail)(ned::StrCat(name, ": record ", i, " has seq ", after[i].seq,
+                          " and payload ", after[i].payload));
       return;
     }
   }
-  if (after.size() == acked.size() + 1 &&
-      after.back().payload != ned::StrCat("record-", acked.size())) {
-    (*fail)(ned::StrCat(name, ": trailing recovered record is not the one "
-                        "that crashed"));
-    return;
+  if ((*reopened)->stats().dropped_segments != dropped) {
+    (*fail)(ned::StrCat(name, ": dropped ",
+                        (*reopened)->stats().dropped_segments,
+                        " segments, expected ", dropped));
   }
   // And the journal is usable again: the post-crash epoch extends cleanly.
   if (!(*reopened)->Append(JournalRecordType::kComplete, "post").ok()) {
     (*fail)(ned::StrCat(name, ": append after recovery failed"));
+    return;
+  }
+  reopened->reset();
+  auto last = Journal::Open(options, &after);
+  if (!last.ok() || after.size() != acked.size() + 1 ||
+      after.back().seq != acked.size() + 1) {
+    (*fail)(ned::StrCat(name, ": the post-recovery append did not continue "
+                        "the seqs"));
   }
 }
 
@@ -460,36 +465,28 @@ void RunStoreCrashLeg(const std::string& base, CrashPoint point,
 }
 
 int RunSimulatedBattery(const std::string& base, FailCounter* fail) {
-  struct JournalLeg {
+  struct Leg {
     CrashPoint point;
     const char* name;
-    int arm_count;
   };
-  // arm_count 7 lands mid-segment; the rotation points arm on their second
-  // visit so at least one full rotation has already succeeded.
-  const JournalLeg journal_legs[] = {
-      {CrashPoint::kJournalBeforeAppend, "before-append", 7},
-      {CrashPoint::kJournalTornAppend, "torn-append", 7},
-      {CrashPoint::kJournalUnsyncedAppend, "unsynced-append", 7},
-      {CrashPoint::kJournalBetweenSegments, "between-segments", 2},
-      {CrashPoint::kJournalBeforeSegmentMagic, "before-magic", 2},
+  const Leg journal_legs[] = {
+      {CrashPoint::kJournalBeforeAppend, "before-append"},
+      {CrashPoint::kJournalTornAppend, "torn-append"},
+      {CrashPoint::kJournalUnsyncedAppend, "unsynced-append"},
+      {CrashPoint::kJournalBeforeSegmentMagic, "before-magic"},
   };
-  for (const JournalLeg& leg : journal_legs) {
-    RunJournalCrashLeg(base, leg.point, leg.name, leg.arm_count, fail);
+  for (const Leg& leg : journal_legs) {
+    RunJournalCrashLeg(base, leg.point, leg.name, fail);
   }
-  struct StoreLeg {
-    CrashPoint point;
-    const char* name;
-  };
-  const StoreLeg store_legs[] = {
+  const Leg store_legs[] = {
       {CrashPoint::kStoreBeforeTemp, "before-temp"},
       {CrashPoint::kStoreTornTemp, "torn-temp"},
       {CrashPoint::kStoreBeforeRename, "before-rename"},
   };
-  for (const StoreLeg& leg : store_legs) {
+  for (const Leg& leg : store_legs) {
     RunStoreCrashLeg(base, leg.point, leg.name, fail);
   }
-  std::cout << "ned_crashtest: simulated battery done (5 journal + 3 store "
+  std::cout << "ned_crashtest: simulated battery done (4 journal + 3 store "
                "crash points)\n";
   return fail->failures;
 }

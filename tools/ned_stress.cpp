@@ -681,8 +681,7 @@ int Run(const Args& args) {
     const ned::JournalStats js = service.journal_stats();
     const ned::AnswerStoreStats ss = service.answer_store_stats();
     std::cout << "journal           : appends=" << js.appends
-              << " syncs=" << js.syncs << " rotations=" << js.rotations
-              << " bytes=" << js.bytes_written
+              << " syncs=" << js.syncs << " bytes=" << js.bytes_written
               << " accepts=" << stats.journaled_accepts
               << " completes=" << stats.journaled_completes
               << " sheds=" << stats.journaled_sheds << "\n"
