@@ -201,6 +201,11 @@ Result<QueryTree> QueryTree::Create(std::unique_ptr<OperatorNode> root,
   return tree;
 }
 
+Status QueryTree::DeriveTypes(OperatorNode* root, const Database& db) {
+  std::map<std::string, std::string> alias_to_table;
+  return FinalizeRecursive(root, nullptr, 0, db, &alias_to_table);
+}
+
 const OperatorNode* QueryTree::FindByName(const std::string& name) const {
   for (const OperatorNode* node : bottom_up_) {
     if (node->name == name) return node;

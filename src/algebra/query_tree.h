@@ -33,6 +33,12 @@ class QueryTree {
   static Result<QueryTree> Create(std::unique_ptr<OperatorNode> root,
                                   const Database& db);
 
+  /// Derives and validates every node's `output_schema` in the subtree
+  /// rooted at `root` exactly as Create does, without finalizing a tree
+  /// (names, parents and levels stay provisional until Create). The
+  /// canonicalizer reads a set operation's operand types this way.
+  static Status DeriveTypes(OperatorNode* root, const Database& db);
+
   const OperatorNode* root() const { return root_.get(); }
   OperatorNode* mutable_root() { return root_.get(); }
 

@@ -402,28 +402,19 @@ Result<QueryTree> Canonicalize(const QuerySpec& spec, const Database& db,
     return Status::InvalidArgument("query spec has no blocks");
   }
 
-  // Output attribute names of one block (needed to build union renamings).
-  auto block_output = [&](const QueryBlock& block)
-      -> Result<std::vector<Attribute>> {
-    // Recompute cheaply: a block's output is its projection (resolved), or
-    // G+Agg, or the joined schema. We canonicalize into a throwaway tree to
-    // read the exact output type.
-    NED_ASSIGN_OR_RETURN(std::unique_ptr<OperatorNode> node,
-                         CanonicalizeBlock(block, db, options));
-    NED_ASSIGN_OR_RETURN(QueryTree tmp, QueryTree::Create(std::move(node), db));
-    return tmp.target_type().attributes();
-  };
-
   NED_ASSIGN_OR_RETURN(std::unique_ptr<OperatorNode> root,
                        CanonicalizeBlock(spec.blocks[0], db, options));
   if (spec.blocks.size() > 1) {
-    NED_ASSIGN_OR_RETURN(std::vector<Attribute> left_attrs,
-                         block_output(spec.blocks[0]));
+    // A set operation's renaming pairs its operands' output types, so each
+    // operand's types are derived as soon as it is built.
+    NED_RETURN_NOT_OK(QueryTree::DeriveTypes(root.get(), db));
+    std::vector<Attribute> left_attrs = root->output_schema.attributes();
     for (size_t b = 1; b < spec.blocks.size(); ++b) {
       NED_ASSIGN_OR_RETURN(std::unique_ptr<OperatorNode> right,
                            CanonicalizeBlock(spec.blocks[b], db, options));
-      NED_ASSIGN_OR_RETURN(std::vector<Attribute> right_attrs,
-                           block_output(spec.blocks[b]));
+      NED_RETURN_NOT_OK(QueryTree::DeriveTypes(right.get(), db));
+      const std::vector<Attribute> right_attrs =
+          right->output_schema.attributes();
       if (right_attrs.size() != left_attrs.size()) {
         return Status::TypeError("union operands have different arity");
       }

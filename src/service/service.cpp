@@ -23,6 +23,10 @@ constexpr size_t kCompletedBookCapacity = 1 << 16;
 /// How often the watchdog fails queued requests whose deadline passed.
 constexpr int64_t kWatchdogIntervalMs = 2;
 
+/// Compiled plans the memo keeps per database. A full table is emptied, so
+/// a stream of distinct SQL texts costs at worst one compile per request.
+constexpr size_t kPlanCacheCapacity = 256;
+
 /// True for an error the same content would produce again: not transient
 /// (kUnavailable) and not a resource limit, which depends on the budgets
 /// and the clock, not on the content.
@@ -246,6 +250,11 @@ void WhyNotService::RegisterMetrics() {
   stat_.journaled_completes = journal("complete");
   stat_.journaled_sheds = journal("shed");
   stat_.journal_append_failures = journal("append_failure");
+  auto plan = [this](const char* event) {
+    return registry_.GetCounter("ned_plan_cache_total", {{"event", event}});
+  };
+  stat_.plan_cache_hits = plan("hit");
+  stat_.plan_cache_misses = plan("miss");
 
   queue_us_ = registry_.GetHistogram("ned_request_queue_us", {},
                                      obs::DefaultLatencyBoundsUs());
@@ -704,7 +713,7 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
   const Database& db = *job->snapshot.db;
   auto tree = [&] {
     obs::SpanScope span(trace, "compile");
-    return CompileSql(req.sql, db);
+    return CompiledPlan(*job);
   }();
   if (!tree.ok()) return fail(tree.status());
   // Every engine run this service executes shares the service-wide subtree
@@ -714,7 +723,7 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
   if (subtree_cache_ != nullptr) {
     engine_options.subtree_cache = subtree_cache_.get();
   }
-  auto engine = NedExplainEngine::Create(&*tree, &db, engine_options);
+  auto engine = NedExplainEngine::Create(tree->get(), &db, engine_options);
   if (!engine.ok()) return fail(engine.status());
   auto result = [&] {
     // The engine's own phase spans (Initialization, per-ctuple, per-level
@@ -743,6 +752,45 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
     }
   }
   finish(/*final=*/true);
+}
+
+Result<std::shared_ptr<const QueryTree>> WhyNotService::CompiledPlan(
+    const Job& job) {
+  // A compiled tree depends only on the SQL text and the schemas it names,
+  // and one snapshot version of one database fixes those schemas, so every
+  // request with the same (database, version, text) can share one tree.
+  // Nothing mutates a QueryTree after QueryTree::Create.
+  const WhyNotRequest& req = job.request;
+  const uint64_t version = job.snapshot.version;
+  {
+    std::lock_guard<std::mutex> lock(plan_mu_);
+    auto table = plans_.find(req.db_name);
+    if (table != plans_.end() && table->second.version == version) {
+      auto it = table->second.plans.find(req.sql);
+      if (it != table->second.plans.end()) {
+        stat_.plan_cache_hits->Increment();
+        return it->second;
+      }
+    }
+  }
+  stat_.plan_cache_misses->Increment();
+  // Compiled with no lock held; concurrent misses may both compile. A
+  // failure is returned, never remembered: permanent errors are the answer
+  // tier's to remember.
+  NED_ASSIGN_OR_RETURN(QueryTree tree, CompileSql(req.sql, *job.snapshot.db));
+  auto plan = std::make_shared<const QueryTree>(std::move(tree));
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  PlanTable& table = plans_[req.db_name];
+  // A request pinned to an older snapshot inserts nothing; a newer one
+  // replaces the table, releasing the stale plans.
+  if (version < table.version) return plan;
+  if (version > table.version) {
+    table.version = version;
+    table.plans.clear();
+  }
+  if (table.plans.size() >= kPlanCacheCapacity) table.plans.clear();
+  table.plans.emplace(req.sql, plan);
+  return plan;
 }
 
 void WhyNotService::PutAnswer(Job* job, const AnswerSummary& answer) {
@@ -1158,6 +1206,8 @@ WhyNotService::Stats WhyNotService::stats() const {
   s.answer_store_hits = stat_.answer_store_hits->value();
   s.answer_store_misses = stat_.answer_store_misses->value();
   s.answer_store_puts = stat_.answer_store_puts->value();
+  s.plan_cache_hits = stat_.plan_cache_hits->value();
+  s.plan_cache_misses = stat_.plan_cache_misses->value();
   return s;
 }
 

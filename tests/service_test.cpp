@@ -1,7 +1,8 @@
 /// \file service_test.cpp
 /// \brief The concurrent why-not service: admission control, priority
 /// scheduling with fair-share quotas, queue expiry, snapshot isolation,
-/// deadline cancellation, retry/backoff and exactly-once responses.
+/// deadline cancellation, retry/backoff, exactly-once responses and the
+/// compiled-plan memo.
 ///
 /// Time-driven behaviour (queue expiry, deadlines) is tested against an
 /// injected ManualClock, so those tests assert on exact instants instead of
@@ -26,6 +27,8 @@
 #include "relational/catalog.h"
 #include "service/retry.h"
 #include "service/service.h"
+#include "sql/binder.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
 
 namespace ned {
@@ -654,6 +657,159 @@ TEST(Service, KeepsServingIdenticallyAcrossAFailedReload) {
   service.Shutdown();
 }
 
+// ---- the compiled-plan memo -------------------------------------------------
+
+/// TinyRequest's SQL asking why R.v = `value` is missing, past the answer
+/// tier, so that every submission executes.
+WhyNotRequest TinyQuestion(const std::string& key, const std::string& value) {
+  WhyNotRequest req = TinyRequest(key);
+  CTuple tc;
+  tc.Add("R.v", Value::Str(value));
+  req.question = WhyNotQuestion(tc);
+  req.bypass_answer_cache = true;
+  return req;
+}
+
+WhyNotResponse Await(WhyNotService* service, WhyNotRequest req) {
+  auto sub = service->Submit(std::move(req));
+  NED_CHECK(sub.status.ok());
+  return sub.response.get();
+}
+
+std::string AnswerOf(WhyNotService* service, WhyNotRequest req) {
+  WhyNotResponse resp = Await(service, std::move(req));
+  EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
+  return resp.answer.ToString();
+}
+
+TEST(PlanCache, RepeatedSqlOnOneSnapshotCompilesOnce) {
+  WhyNotService service(MakeCatalog(), {});
+  const std::vector<std::string> values = {"c", "d", "c", "d"};
+  std::vector<std::string> answers;
+  for (size_t i = 0; i < values.size(); ++i) {
+    answers.push_back(
+        AnswerOf(&service, TinyQuestion(StrCat("q", i), values[i])));
+    EXPECT_EQ(service.stats().plan_cache_misses, 1u);
+    EXPECT_EQ(service.stats().plan_cache_hits, i);
+  }
+  EXPECT_NE(answers[0], answers[1]);
+  // Each answer equals one from a service that compiled for it alone.
+  for (size_t i = 0; i < values.size(); ++i) {
+    WhyNotService fresh(MakeCatalog(), {});
+    EXPECT_EQ(AnswerOf(&fresh, TinyQuestion("fresh", values[i])), answers[i]);
+    EXPECT_EQ(fresh.stats().plan_cache_hits, 0u);
+  }
+}
+
+TEST(PlanCache, ReloadThatChangesASchemaRecompiles) {
+  auto catalog = MakeCatalog();
+  WhyNotService service(catalog, {});
+  ASSERT_FALSE(AnswerOf(&service, TinyQuestion("v1", "c")).empty());
+  // R loses column v and gains column u.
+  ASSERT_TRUE(
+      catalog->ReloadCsv("tiny", "R", "id,k,u\n1,10,a\n2,10,b\n3,20,c\n")
+          .ok());
+  // The text names the dropped column: it fails with the binder's error
+  // against the new schema, not with the plan compiled for version 1.
+  WhyNotResponse dropped = Await(&service, TinyQuestion("v2", "c"));
+  EXPECT_EQ(dropped.snapshot_version, 2u);
+  auto ast = ParseSql(TinyRequest("x").sql);
+  ASSERT_TRUE(ast.ok());
+  const Status bind = BindSql(*ast, *catalog->GetSnapshot("tiny")->db).status();
+  ASSERT_FALSE(bind.ok());
+  EXPECT_EQ(dropped.status.ToString(), bind.ToString());
+  // A text naming the new column compiles and is answered.
+  WhyNotRequest added = TinyRequest("u");
+  added.sql = "SELECT R.u FROM R, S WHERE R.k = S.k";
+  CTuple tc;
+  tc.Add("R.u", Value::Str("c"));
+  added.question = WhyNotQuestion(tc);
+  added.bypass_answer_cache = true;
+  WhyNotResponse answered = Await(&service, std::move(added));
+  EXPECT_TRUE(answered.status.ok()) << answered.status.ToString();
+  EXPECT_EQ(answered.snapshot_version, 2u);
+  EXPECT_EQ(service.stats().plan_cache_misses, 3u);
+  EXPECT_EQ(service.stats().plan_cache_hits, 0u);
+}
+
+TEST(PlanCache, FailedCompilesAreNotRemembered) {
+  WhyNotService service(MakeCatalog(), {});
+  std::vector<std::string> errors;
+  for (int i = 0; i < 2; ++i) {
+    WhyNotRequest bad = TinyQuestion(StrCat("bad", i), "c");
+    bad.sql = "SELECT R.nope FROM R";
+    WhyNotResponse resp = Await(&service, std::move(bad));
+    EXPECT_FALSE(resp.status.ok());
+    errors.push_back(resp.status.ToString());
+    EXPECT_EQ(service.stats().plan_cache_misses, static_cast<uint64_t>(i + 1));
+  }
+  EXPECT_EQ(errors[0], errors[1]);
+  EXPECT_EQ(service.stats().plan_cache_hits, 0u);
+}
+
+TEST(PlanCache, OlderPinnedSnapshotCompilesWithoutEvictingNewerPlans) {
+  auto catalog = MakeCatalog();
+  ServiceOptions options;
+  options.workers = 1;
+  WhyNotService service(catalog, options);
+  // The one worker is busy while `old` (pinned to version 1, background
+  // priority) and `current` (version 2, interactive) queue up, so the
+  // version-2 plan is compiled first.
+  auto blocker = service.Submit(SlowRequest("blocker", 150));
+  ASSERT_TRUE(blocker.status.ok());
+  WhyNotRequest old_req = TinyQuestion("old", "c");
+  old_req.priority = Priority::kBackground;
+  auto old_sub = service.Submit(std::move(old_req));
+  ASSERT_TRUE(old_sub.status.ok());
+  ASSERT_TRUE(
+      catalog->ReloadCsv("tiny", "S", "id,k,w\n1,10,x\n2,20,y\n").ok());
+  auto current = service.Submit(TinyQuestion("current", "c"));
+  ASSERT_TRUE(current.status.ok());
+  EXPECT_EQ(current.response.get().snapshot_version, 2u);
+  WhyNotResponse old_resp = old_sub.response.get();
+  ASSERT_TRUE(old_resp.status.ok()) << old_resp.status.ToString();
+  EXPECT_EQ(old_resp.snapshot_version, 1u);
+  (void)blocker.response.get();
+  // blocker, current and old each missed; the version-2 plan survived old's
+  // compile, so a second version-2 request hits it.
+  EXPECT_EQ(service.stats().plan_cache_misses, 3u);
+  EXPECT_EQ(AnswerOf(&service, TinyQuestion("again", "c")),
+            current.response.get().answer.ToString());
+  EXPECT_EQ(service.stats().plan_cache_hits, 1u);
+}
+
+TEST(PlanCache, ConcurrentSubmitsShareOnePlanSafely) {
+  std::string reference;
+  {
+    WhyNotService fresh(MakeCatalog(), {});
+    reference = AnswerOf(&fresh, TinyQuestion("reference", "c"));
+  }
+  WhyNotService service(MakeCatalog(), {});
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 50;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        WhyNotResponse resp =
+            Await(&service, TinyQuestion(StrCat("c", t, "-", i), "c"));
+        if (!resp.status.ok() || resp.answer.ToString() != reference) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  // Concurrent misses may each compile, so only the total is exact.
+  const auto stats = service.stats();
+  EXPECT_GE(stats.plan_cache_misses, 1u);
+  EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses,
+            static_cast<uint64_t>(kThreads * kPerThread));
+  service.Shutdown();
+}
+
 // ---- drain-vs-shutdown contract (the durable half lives in persist_test) ---
 
 TEST(Durability, DrainContractAndIdempotentRecover) {
@@ -1021,6 +1177,10 @@ TEST(Observability, RegistryExposesServiceCountersAndHistograms) {
       std::string::npos)
       << text;
   EXPECT_NE(text.find("ned_answer_cache_total{event=\"hit\"} 1"),
+            std::string::npos)
+      << text;
+  // Only m1 executed, so the compiled-plan memo saw one compile.
+  EXPECT_NE(text.find("ned_plan_cache_total{event=\"miss\"} 1"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("# TYPE ned_request_total_us histogram"),
