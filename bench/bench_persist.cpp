@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
     p50[c] = PercentileMs(samples[c], 0.50);
     p99[c] = PercentileMs(samples[c], 0.99);
     std::printf("%-12s %8.3f %9.3f\n", configs[c].name, p50[c], p99[c]);
-    services[c]->Shutdown(/*drain=*/true);
+    services[c]->Shutdown();
   }
   // The gated statistic. A single p99 is an extreme order statistic -- on a
   // shared box its run-to-run spread is far wider than the 5% being tested
@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
         }
       }
       for (auto& f : futures) (void)f.get();
-      service.Shutdown(/*drain=*/true);
+      service.Shutdown();
     }
     RecoveryPoint point;
     point.requests = n;
@@ -343,7 +343,7 @@ int main(int argc, char** argv) {
                   << " dropped=" << rec.dropped << "\n";
         ++failures;
       }
-      service.Shutdown(/*drain=*/true);
+      service.Shutdown();
     }
     recovery.push_back(point);
     std::printf("recover %5d requests: %8llu journal bytes, %6llu records, "

@@ -103,27 +103,18 @@ struct MetricsRegistry::Family {
   std::map<std::string, LabelSet> labels;  // series key -> normalized labels
 };
 
-struct MetricsRegistry::Shard {
-  mutable std::mutex mu;
-  std::map<std::string, Family, std::less<>> families;
-};
-
-MetricsRegistry::MetricsRegistry() : shards_(new Shard[kShards]) {}
+MetricsRegistry::MetricsRegistry() = default;
 MetricsRegistry::~MetricsRegistry() = default;
 
-MetricsRegistry::Shard& MetricsRegistry::ShardFor(std::string_view name) const {
-  return shards_[std::hash<std::string_view>{}(name) % kShards];
-}
-
 MetricsRegistry::Family& MetricsRegistry::FamilyFor(
-    std::string_view name, MetricType type, const std::vector<int64_t>* bounds,
-    Shard& shard) {
-  auto it = shard.families.find(name);
-  if (it == shard.families.end()) {
+    std::string_view name, MetricType type,
+    const std::vector<int64_t>* bounds) {
+  auto it = families_.find(name);
+  if (it == families_.end()) {
     Family family;
     family.type = type;
     if (bounds != nullptr) family.bounds = *bounds;
-    it = shard.families.emplace(std::string(name), std::move(family)).first;
+    it = families_.emplace(std::string(name), std::move(family)).first;
   } else {
     NED_CHECK_MSG(it->second.type == type,
                   "metric \"" + std::string(name) +
@@ -139,9 +130,8 @@ MetricsRegistry::Family& MetricsRegistry::FamilyFor(
 
 Counter* MetricsRegistry::GetCounter(std::string_view name, LabelSet labels) {
   std::sort(labels.begin(), labels.end());
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Family& family = FamilyFor(name, MetricType::kCounter, nullptr, shard);
+  std::lock_guard<std::mutex> lock(mu_);
+  Family& family = FamilyFor(name, MetricType::kCounter, nullptr);
   std::string key = SeriesKey(labels);
   auto& slot = family.counters[key];
   if (slot == nullptr) {
@@ -153,9 +143,8 @@ Counter* MetricsRegistry::GetCounter(std::string_view name, LabelSet labels) {
 
 Gauge* MetricsRegistry::GetGauge(std::string_view name, LabelSet labels) {
   std::sort(labels.begin(), labels.end());
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Family& family = FamilyFor(name, MetricType::kGauge, nullptr, shard);
+  std::lock_guard<std::mutex> lock(mu_);
+  Family& family = FamilyFor(name, MetricType::kGauge, nullptr);
   std::string key = SeriesKey(labels);
   auto& slot = family.gauges[key];
   if (slot == nullptr) {
@@ -168,9 +157,8 @@ Gauge* MetricsRegistry::GetGauge(std::string_view name, LabelSet labels) {
 Histogram* MetricsRegistry::GetHistogram(std::string_view name, LabelSet labels,
                                          std::vector<int64_t> bounds) {
   std::sort(labels.begin(), labels.end());
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Family& family = FamilyFor(name, MetricType::kHistogram, &bounds, shard);
+  std::lock_guard<std::mutex> lock(mu_);
+  Family& family = FamilyFor(name, MetricType::kHistogram, &bounds);
   std::string key = SeriesKey(labels);
   auto& slot = family.histograms[key];
   if (slot == nullptr) {
@@ -181,7 +169,7 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name, LabelSet labels,
 }
 
 void MetricsRegistry::RegisterCollector(std::function<void()> collector) {
-  std::lock_guard<std::mutex> lock(collectors_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   collectors_.push_back(std::move(collector));
 }
 
@@ -191,17 +179,16 @@ std::vector<MetricSnapshot> MetricsRegistry::Collect() const {
     // callbacks can themselves register metrics without deadlock.
     std::vector<std::function<void()>> collectors;
     {
-      std::lock_guard<std::mutex> lock(collectors_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       collectors = collectors_;
     }
     for (const auto& fn : collectors) fn();
   }
 
   std::vector<MetricSnapshot> out;
-  for (size_t s = 0; s < kShards; ++s) {
-    Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [name, family] : shard.families) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [name, family] : families_) {
       auto emit = [&](const std::string& key) {
         MetricSnapshot snap;
         snap.name = name;

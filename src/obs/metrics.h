@@ -1,6 +1,6 @@
 /// \file metrics.h
-/// \brief Lock-sharded metrics registry: counters, gauges and fixed-boundary
-/// latency histograms with exact quantiles-from-buckets.
+/// \brief Metrics registry: counters, gauges and fixed-boundary latency
+/// histograms with exact quantiles-from-buckets.
 ///
 /// The unified observability layer every subsystem reports through
 /// (docs/OBSERVABILITY.md). Design constraints, in order:
@@ -128,9 +128,9 @@ struct MetricSnapshot {
 const std::vector<int64_t>& DefaultLatencyBoundsUs();
 
 /// The registry. Get* registers on first use and returns a stable handle;
-/// Collect() snapshots everything. Lock-sharded by metric name: concurrent
-/// registration of unrelated metrics does not contend, and value writes
-/// through handles never take any lock at all.
+/// Collect() snapshots everything. One mutex guards registration and
+/// collection, which run at construction and scrape time only; value writes
+/// through handles never take it.
 class MetricsRegistry {
  public:
   MetricsRegistry();
@@ -148,8 +148,8 @@ class MetricsRegistry {
 
   /// Registers a callback run at the start of every Collect(), for gauges
   /// that mirror subsystem-internal state (cache occupancy, queue depth,
-  /// pool high-watermarks) instead of being written inline. Callbacks run
-  /// outside all registry locks and may call Get*/Set freely.
+  /// journal counters) instead of being written inline. Callbacks run
+  /// outside the registry's lock and may call Get*/Set freely.
   void RegisterCollector(std::function<void()> collector);
 
   /// Snapshot of every registered series, sorted by (name, labels) --
@@ -158,18 +158,15 @@ class MetricsRegistry {
 
  private:
   struct Family;
-  struct Shard;
 
-  static constexpr size_t kShards = 16;
-
-  Shard& ShardFor(std::string_view name) const;
+  /// Requires mu_.
   Family& FamilyFor(std::string_view name, MetricType type,
-                    const std::vector<int64_t>* bounds, Shard& shard);
+                    const std::vector<int64_t>* bounds);
 
-  std::unique_ptr<Shard[]> shards_;
-
-  mutable std::mutex collectors_mu_;
-  std::vector<std::function<void()>> collectors_;
+  mutable std::mutex mu_;
+  /// Every family by metric name; guarded by mu_.
+  std::map<std::string, Family, std::less<>> families_;
+  std::vector<std::function<void()>> collectors_;  // guarded by mu_
 };
 
 }  // namespace ned::obs

@@ -109,10 +109,13 @@ Result<AnswerStore::Ptr> AnswerStore::Get(const std::string& key,
     return Lookup(key);
   }();
   if (!stored.ok()) return Ptr();
-  auto answer = std::make_shared<const AnswerSummary>(std::move(*stored));
-  Remember(key, answer, ApproxAnswerBytes(*answer));
   *from_disk = true;
-  return answer;
+  return std::make_shared<const AnswerSummary>(std::move(*stored));
+}
+
+void AnswerStore::Promote(const std::string& key, Ptr answer) {
+  const size_t bytes = ApproxAnswerBytes(*answer);
+  Remember(key, std::move(answer), bytes);
 }
 
 void AnswerStore::Remember(const std::string& key, Result<Ptr> entry,

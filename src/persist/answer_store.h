@@ -21,8 +21,9 @@
 /// reload that changes the data stops producing their keys.
 ///
 /// The memory half (`memory_bytes`, cache/lru.h) holds shared immutable
-/// summaries; Get hands out the tier's own pointer, and a disk hit is
-/// promoted into memory. The disk half (`dir`) is optional. Layout:
+/// summaries; Get hands out the tier's own pointer, and a disk hit its
+/// caller serves is promoted into memory. The disk half (`dir`) is
+/// optional. Layout:
 /// `<dir>/entries/<fnv64-hex>.ans`, each entry a CRC-framed file carrying
 /// its full key (hash collisions detected by key comparison, not trusted to
 /// the file name) and the encoded AnswerSummary. Entries are written via
@@ -93,12 +94,16 @@ class AnswerStore {
   static Result<std::unique_ptr<AnswerStore>> Open(
       const AnswerStoreOptions& options);
 
-  /// The tier lookup: the memory half, then the disk half, whose hit is
-  /// promoted into memory. Returns the tier's own pointer (nullptr on a
-  /// miss), or the permanent error the memory half remembers for `key`;
-  /// `*from_disk` tells which half answered. The entry-file read is traced
-  /// as "store_lookup".
+  /// The tier lookup: the memory half, then the disk half. Returns the
+  /// tier's own pointer (nullptr on a miss), or the permanent error the
+  /// memory half remembers for `key`; `*from_disk` tells which half
+  /// answered. A disk hit stays out of memory until Promote. The entry-file
+  /// read is traced as "store_lookup".
   Result<Ptr> Get(const std::string& key, obs::Trace* trace, bool* from_disk);
+
+  /// Inserts a disk hit of Get into the memory half, once its caller serves
+  /// it (a no-op without a memory half).
+  void Promote(const std::string& key, Ptr answer);
 
   /// Reads `key`'s entry file (the disk half alone: no memory lookup, no
   /// promotion), or kNotFound. A corrupt entry is deleted and reported as

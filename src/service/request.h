@@ -32,8 +32,9 @@ struct WhyNotRequest {
   std::string client_id;
   /// End-to-end deadline (queue wait + execution). 0 = service default.
   int64_t deadline_ms = 0;
-  /// Per-request budgets; 0 = service default.
+  /// Rows this request may materialize; 0 = unlimited.
   size_t row_budget = 0;
+  /// Bytes this request may hold; 0 = the service's default_memory_budget.
   size_t memory_budget = 0;
   /// Seed for any randomness consumed on behalf of this request (retry
   /// jitter); derived per request, never process-global, so concurrent runs

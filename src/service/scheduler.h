@@ -130,7 +130,8 @@ class PriorityScheduler {
     return expired;
   }
 
-  /// Empties the queue (shutdown without drain). Callers Release() each.
+  /// Empties the queue (a stop that runs no queued work). Callers Release()
+  /// each.
   std::vector<Entry> DrainAll() {
     std::vector<Entry> all;
     for (auto& lane : lanes_) {

@@ -20,6 +20,10 @@ double MsSince(Clock::TimePoint start, Clock::TimePoint end) {
 /// Completed responses the idempotency book keeps (FIFO evicted).
 constexpr size_t kCompletedBookCapacity = 1 << 16;
 
+/// Suggested backoff for shed work: kBaseBackoffMs * (1 + queued/workers),
+/// capped at ServiceOptions::max_backoff_ms.
+constexpr int64_t kBaseBackoffMs = 5;
+
 /// How often the watchdog fails queued requests whose deadline passed.
 constexpr int64_t kWatchdogIntervalMs = 2;
 
@@ -65,8 +69,8 @@ uint64_t AutoKeyNumber(const std::string& key) {
 
 /// One admitted request: everything its execution needs, pinned at
 /// admission. The shared_ptr is held by the scheduler, the in-flight map
-/// and (transiently) the executing worker; Drain and Shutdown reach the
-/// ExecContext through the in-flight map under the service mutex.
+/// and (transiently) the executing worker; Drain reaches the ExecContext
+/// through the in-flight map under the service mutex.
 struct WhyNotService::Job {
   WhyNotRequest request;
   Catalog::Snapshot snapshot;
@@ -79,7 +83,7 @@ struct WhyNotService::Job {
   /// Set by Execute when the answer was durably stored; recorded in the
   /// COMPLETE journal record so recovery knows the store has it.
   bool stored_answer = false;
-  /// Set by Drain/Shutdown on queued requests they fail: suppresses the
+  /// Set by Drain on queued requests it fails: suppresses the
   /// SHED record a non-final finalize would otherwise journal, leaving the
   /// ACCEPT unresolved on purpose -- that is what makes the request
   /// recoverable.
@@ -97,8 +101,9 @@ struct WhyNotService::Job {
   std::shared_ptr<ExecContext> ctx;
   Clock::TimePoint submit_time;
   Clock::TimePoint deadline;
-  /// Bytes charged against the admission watermark for this request.
-  size_t memory_charge = 0;
+  /// 1-based admission count of this key, taken from attempts_ in the hold
+  /// that admits the job; spans transient-failure retries.
+  int attempt = 0;
   bool running = false;  // guarded by mu_
   std::promise<WhyNotResponse> promise;
   std::shared_future<WhyNotResponse> future;
@@ -118,9 +123,10 @@ struct WhyNotService::Admission {
   /// Null unless the request set collect_trace; `span` is "admission".
   std::shared_ptr<obs::Trace> trace;
   int32_t span = -1;
-  size_t row_budget = 0;
   size_t memory_budget = 0;
   std::string answer_key;
+  /// The snapshot pin's outcome; `snapshot` is set only when it is OK.
+  Status pinned = Status::OK();
   Catalog::Snapshot snapshot;
   /// The tier lookup's outcome: an answer, nullptr on a miss, or the
   /// permanent error this content produced before.
@@ -182,7 +188,7 @@ WhyNotService::WhyNotService(std::shared_ptr<Catalog> catalog,
     // remembers.
     for (const JournalRecord& record : recovered_records_) {
       next_auto_key_ = std::max(
-          next_auto_key_,
+          next_auto_key_.load(),
           AutoKeyNumber(JournalRecordKey(record.type, record.payload)));
     }
   }
@@ -205,7 +211,7 @@ WhyNotService::WhyNotService(std::shared_ptr<Catalog> catalog,
   watchdog_ = std::thread([this] { WatchdogLoop(); });
 }
 
-WhyNotService::~WhyNotService() { Shutdown(/*drain=*/true); }
+WhyNotService::~WhyNotService() { Shutdown(); }
 
 void WhyNotService::RegisterMetrics() {
   // Metric catalog lives in docs/OBSERVABILITY.md; names and label sets are
@@ -228,7 +234,6 @@ void WhyNotService::RegisterMetrics() {
     return registry_.GetCounter("ned_service_shed_total", {{"reason", reason}});
   };
   stat_.shed_queue_full = shed("queue_full");
-  stat_.shed_memory = shed("memory");
   stat_.shed_client_quota = shed("client_quota");
   auto cache = [this](const char* event) {
     return registry_.GetCounter("ned_answer_cache_total", {{"event", event}});
@@ -270,15 +275,13 @@ void WhyNotService::CollectMirrors() {
   // Mirror gauges: subsystems keep their own internally-locked stats; the
   // collector copies them into the registry at Collect() time instead of
   // threading registry handles through every constructor. Runs outside the
-  // registry's shard locks; takes mu_ briefly for the scheduler-side view.
+  // registry's lock; takes mu_ briefly for the scheduler-side view.
   {
     std::lock_guard<std::mutex> lock(mu_);
     registry_.GetGauge("ned_queue_depth")
         ->Set(static_cast<int64_t>(scheduler_.size()));
     registry_.GetGauge("ned_inflight_requests")
         ->Set(static_cast<int64_t>(inflight_.size()));
-    registry_.GetGauge("ned_admitted_bytes")
-        ->Set(static_cast<int64_t>(admitted_bytes_));
   }
   auto mirror_cache = [this](const char* which, const LruStats& s) {
     auto gauge = [&](const char* field) {
@@ -312,8 +315,7 @@ void WhyNotService::CollectMirrors() {
 int64_t WhyNotService::SuggestedBackoffLocked() const {
   const int64_t load_factor =
       1 + static_cast<int64_t>(scheduler_.size()) / options_.workers;
-  return std::min(options_.base_backoff_ms * load_factor,
-                  options_.max_backoff_ms);
+  return std::min(kBaseBackoffMs * load_factor, options_.max_backoff_ms);
 }
 
 void WhyNotService::RememberCompletedLocked(
@@ -368,24 +370,30 @@ WhyNotService::Submission WhyNotService::SubmitImpl(
     a.trace = std::make_shared<obs::Trace>(clock_);
     a.span = a.trace->OpenSpan("admission");
   }
-  a.row_budget = a.request.row_budget != 0 ? a.request.row_budget
-                                           : options_.default_row_budget;
   a.memory_budget = a.request.memory_budget != 0
                         ? a.request.memory_budget
                         : options_.default_memory_budget;
-  std::unique_lock<std::mutex> lock(mu_);
   stat_.submitted->Increment();
   if (a.request.key.empty()) {
     a.request.key = StrCat("auto-", ++next_auto_key_);
   }
-  if (KnownKeyLocked(&a)) return a.Finish();
   // Content work -- the snapshot pin with its fingerprint hash, the key,
   // the tier's entry-file read -- runs with mu_ released, so none of it
-  // blocks admission, finalization or the watchdog.
-  lock.unlock();
-  if (PinAndLookUp(&a)) return a.Finish();
-  lock.lock();
-  if (KnownKeyLocked(&a) || ServeTierHitLocked(&a) || LoadShedsLocked(&a)) {
+  // blocks admission, finalization or the watchdog. Everything after it is
+  // one mu_ hold, in the order that decides precedence: a known key wins
+  // over a failed pin and over any tier outcome.
+  PinAndLookUp(&a);
+  std::unique_lock<std::mutex> lock(mu_);
+  if (KnownKeyLocked(&a)) return a.Finish();
+  if (!a.pinned.ok()) {
+    a.sub.status = std::move(a.pinned);  // permanent: do not retry
+    return a.Finish();
+  }
+  if (ServeTierHitLocked(&a)) {
+    lock.unlock();
+    // Promoted only once served, so a lookup that a known key overrode
+    // leaves the memory half as it was.
+    if (a.hit_from_disk) answer_store_->Promote(a.answer_key, *a.hit);
     return a.Finish();
   }
   const std::shared_ptr<Job> job = MakeJob(&a);
@@ -435,7 +443,7 @@ bool WhyNotService::KnownKeyLocked(Admission* a) {
   return false;
 }
 
-bool WhyNotService::PinAndLookUp(Admission* a) {
+void WhyNotService::PinAndLookUp(Admission* a) {
   const WhyNotRequest& req = a->request;
   // Chaos-injected requests bypass the tier: their faults must execute.
   const bool use_tier = answer_store_ != nullptr && !req.bypass_answer_cache &&
@@ -451,31 +459,32 @@ bool WhyNotService::PinAndLookUp(Admission* a) {
                     : catalog_->GetSnapshot(req.db_name);
   }();
   if (!snapshot.ok()) {
-    a->sub.status = snapshot.status();  // permanent: do not retry
-    return true;
+    a->pinned = snapshot.status();
+    return;
   }
   a->snapshot = std::move(*snapshot);
-  if (!use_tier) {
-    if (answer_store_ != nullptr && answer_store_->has_memory()) {
-      stat_.answer_cache_bypass->Increment();
-    }
-    return false;
-  }
+  if (!use_tier) return;
   // The key embeds the content fingerprint, so an answer can only be
   // served for the data it was computed on: a reload that changed the data
   // stops producing the old keys, and one that restored answered content
   // hits again.
   a->answer_key = MakeDurableAnswerKey(
       req.db_name, a->snapshot.content_fingerprint, req.sql,
-      req.question.ToString(), a->row_budget, a->memory_budget,
+      req.question.ToString(), req.row_budget, a->memory_budget,
       EngineOptionBits(req.engine_options));
   obs::SpanScope span(a->trace.get(), "answer_cache_lookup");
   a->hit = answer_store_->Get(a->answer_key, a->trace.get(), &a->hit_from_disk);
-  return false;
 }
 
 bool WhyNotService::ServeTierHitLocked(Admission* a) {
-  if (a->answer_key.empty()) return false;
+  // Every tier count is taken here, after the known-key stage, so a
+  // resubmitted key counts nothing.
+  if (a->answer_key.empty()) {
+    if (answer_store_ != nullptr && answer_store_->has_memory()) {
+      stat_.answer_cache_bypass->Increment();
+    }
+    return false;
+  }
   if (!a->hit.ok()) {
     // This content failed permanently before and would fail the same way
     // again: reject it with that error, before admission, the journal or a
@@ -486,8 +495,6 @@ bool WhyNotService::ServeTierHitLocked(Admission* a) {
     return true;
   }
   const AnswerStore::Ptr& hit = *a->hit;
-  // Counted here, after the known-key stage ran again, so every counted
-  // hit is a served one.
   const bool memory_hit = hit != nullptr && !a->hit_from_disk;
   if (answer_store_->has_memory()) {
     (memory_hit ? stat_.answer_cache_hits : stat_.answer_cache_misses)
@@ -521,21 +528,6 @@ bool WhyNotService::ShedLocked(Admission* a, obs::Counter* counter,
   return true;
 }
 
-bool WhyNotService::LoadShedsLocked(Admission* a) {
-  // The watermark only sheds when other work is admitted: a request whose
-  // budget alone exceeds it must still be runnable once the service drains,
-  // or a retry loop would never terminate.
-  const size_t mem = a->memory_budget;
-  if (options_.memory_watermark_bytes != 0 && !inflight_.empty() &&
-      admitted_bytes_ + mem > options_.memory_watermark_bytes) {
-    return ShedLocked(
-        a, stat_.shed_memory,
-        StrCat("overloaded: memory watermark (", admitted_bytes_, " + ", mem,
-               " > ", options_.memory_watermark_bytes, " bytes)"));
-  }
-  return false;
-}
-
 std::shared_ptr<WhyNotService::Job> WhyNotService::MakeJob(Admission* a) {
   auto job = std::make_shared<Job>();
   job->request = std::move(a->request);
@@ -546,11 +538,10 @@ std::shared_ptr<WhyNotService::Job> WhyNotService::MakeJob(Admission* a) {
                                   ? job->request.deadline_ms
                                   : options_.default_deadline_ms;
   job->deadline = job->submit_time + std::chrono::milliseconds(deadline_ms);
-  job->memory_charge = a->memory_budget;
   job->ctx = std::make_shared<ExecContext>();
   if (options_.clock != nullptr) job->ctx->set_clock(clock_);
   job->ctx->set_deadline(job->deadline);
-  if (a->row_budget != 0) job->ctx->set_row_budget(a->row_budget);
+  job->ctx->set_row_budget(job->request.row_budget);  // 0 = unlimited
   if (a->memory_budget != 0) job->ctx->set_memory_budget(a->memory_budget);
   if (job->request.inject_fault_at_step != 0) {
     job->ctx->InjectFailureAt(job->request.inject_fault_at_step);
@@ -607,7 +598,7 @@ bool WhyNotService::EnqueueShedsLocked(Admission* a,
       break;
   }
   inflight_.emplace(req.key, job);
-  admitted_bytes_ += job->memory_charge;
+  job->attempt = ++attempts_[req.key];
   stat_.accepted->Increment();
   Attach(a, job.get());
   if (a->trace != nullptr) {
@@ -674,10 +665,7 @@ void WhyNotService::Execute(const std::shared_ptr<Job>& job) {
   }
   const int32_t exec_span =
       trace != nullptr ? trace->OpenSpan("execute") : -1;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    response.attempt = ++attempts_[req.key];
-  }
+  response.attempt = job->attempt;
   const auto finish = [&](bool final) {
     if (trace != nullptr) trace->CloseSpan(exec_span);
     Finalize(job, std::move(response), final);
@@ -813,8 +801,8 @@ void WhyNotService::Finalize(const std::shared_ptr<Job>& job,
                              WhyNotResponse response, bool final) {
   obs::Trace* const trace = job->trace.get();
   if (trace != nullptr && job->queue_wait_span >= 0) {
-    // Jobs that never reached a worker (expired in queue, drained, shut
-    // down) arrive here with the queue_wait span still open.
+    // Jobs that never reached a worker (expired in queue or drained)
+    // arrive here with the queue_wait span still open.
     trace->CloseSpan(job->queue_wait_span);
     job->queue_wait_span = -1;
   }
@@ -828,7 +816,6 @@ void WhyNotService::Finalize(const std::shared_ptr<Job>& job,
     // observer, so this move captures every callback exactly once.
     callbacks = std::move(job->callbacks);
     inflight_.erase(job->request.key);
-    admitted_bytes_ -= job->memory_charge;
     // The fair-share occupancy slot taken at TryAdmit frees here, whatever
     // path the job took (executed, expired or drained).
     scheduler_.Release(job->request.client_id);
@@ -836,7 +823,7 @@ void WhyNotService::Finalize(const std::shared_ptr<Job>& job,
     // observes a response, the journal must already know this ACCEPT is
     // settled (final -> COMPLETE, transient failure -> SHED -- the client
     // got a retryable answer and will resubmit under a fresh ACCEPT).
-    // Queued requests failed by Drain/Shutdown set keep_recoverable: no
+    // Queued requests failed by Drain set keep_recoverable: no
     // record at all, leaving the ACCEPT open for Recover().
     //
     // If the append itself fails (journal broken mid-flight), the promise
@@ -916,33 +903,15 @@ void WhyNotService::WatchdogLoop() {
   }
 }
 
-void WhyNotService::Shutdown(bool drain) {
-  std::vector<std::shared_ptr<Job>> to_fail;
+void WhyNotService::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     accepting_ = false;
-    if (!drain) {
-      for (Scheduler::Entry& entry : scheduler_.DrainAll()) {
-        to_fail.push_back(std::move(entry.item));
-      }
-      for (auto& [key, job] : inflight_) {
-        if (job->running) job->ctx->RequestCancel();
-      }
-    }
     stopping_ = true;
   }
+  // Workers leave only once the queue is empty, so everything queued runs.
   work_cv_.notify_all();
   watchdog_cv_.notify_all();
-  for (const auto& job : to_fail) {
-    // The client sees a retryable failure, but the journal ACCEPT stays
-    // unresolved: an abrupt shutdown is exactly the case recovery exists
-    // for, so these requests re-enqueue at the next start.
-    job->keep_recoverable = true;
-    WhyNotResponse response;
-    response.key = job->request.key;
-    response.status = Status::Unavailable("service shut down before execution");
-    Finalize(job, std::move(response), /*final=*/false);
-  }
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -1004,21 +973,7 @@ WhyNotService::DrainReport WhyNotService::Drain(int64_t deadline_ms) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  watchdog_cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  if (watchdog_.joinable()) watchdog_.join();
-  if (journal_ != nullptr) (void)journal_->Sync();
-  std::lock_guard<std::mutex> lock(mu_);
-  NED_CHECK_MSG(inflight_.empty(),
-                "drain left accepted requests without responses");
-  NED_CHECK(scheduler_.empty());
+  Shutdown();  // nothing is left to run: this joins, syncs and checks
   return report;
 }
 
@@ -1185,7 +1140,6 @@ WhyNotService::Stats WhyNotService::stats() const {
   s.submitted = stat_.submitted->value();
   s.accepted = stat_.accepted->value();
   s.shed_queue_full = stat_.shed_queue_full->value();
-  s.shed_memory = stat_.shed_memory->value();
   s.shed_client_quota = stat_.shed_client_quota->value();
   s.rejected_shutdown = stat_.rejected_shutdown->value();
   s.deduped_inflight = stat_.deduped_inflight->value();

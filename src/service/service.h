@@ -8,12 +8,13 @@
 /// snapshot pinned at admission. The contract, in order of the guarantees
 /// it gives:
 ///
-///  1. Admission control / load shedding. A full queue, a breached memory
-///     watermark (summed memory budgets of admitted-but-unfinished
-///     requests) or an exhausted per-client quota rejects the submission
-///     *synchronously* with a retryable kUnavailable carrying a suggested
-///     backoff -- the queue never grows unboundedly and overload cannot
-///     push accepted requests past their deadlines.
+///  1. Admission control / load shedding. A full queue or an exhausted
+///     per-client quota rejects the submission *synchronously* with a
+///     retryable kUnavailable carrying a suggested backoff -- the queue
+///     never grows unboundedly and overload cannot push accepted requests
+///     past their deadlines. What running requests allocate is bounded by
+///     the worker count and each request's own ExecContext memory budget,
+///     which charges the bytes its blocks really hold.
 ///  2. Priority scheduling (service/scheduler.h). Requests carry a priority
 ///     class and client id; dispatch is strict-priority between classes and
 ///     earliest-deadline-first within one, and per-client fair-share quotas
@@ -55,6 +56,7 @@
 #ifndef NED_SERVICE_SERVICE_H_
 #define NED_SERVICE_SERVICE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -92,19 +94,14 @@ struct ServiceOptions {
   /// Max admitted-but-unfinished (queued + running) requests per client id;
   /// 0 = unlimited. See SchedulerOptions::per_client_limit.
   size_t per_client_limit = 0;
-  /// When non-zero, also shed while the summed memory budgets of admitted
-  /// but unfinished requests exceed this watermark. Requests with no memory
-  /// budget (request and default both 0) are invisible to it, so give
-  /// `default_memory_budget` a value when using the watermark.
-  size_t memory_watermark_bytes = 0;
   /// Applied when a request leaves deadline_ms == 0.
   int64_t default_deadline_ms = 2000;
-  /// Applied when a request leaves the budget == 0 (0 = unlimited).
-  size_t default_row_budget = 0;
+  /// The operator's per-request memory cap, applied when a request leaves
+  /// memory_budget == 0 (0 = unlimited). A request's row budget is its own
+  /// (0 = unlimited).
   size_t default_memory_budget = 0;
-  /// Suggested-backoff shape for shed work: base * (1 + queued/workers),
-  /// capped. Clients may use it directly or feed it to RetryPolicy.
-  int64_t base_backoff_ms = 5;
+  /// Cap of the suggested backoff for shed work, 5ms * (1 + queued/workers).
+  /// Clients may use it directly or feed it to RetryPolicy.
   int64_t max_backoff_ms = 500;
   /// Byte budget of the answer tier's memory half (persist/answer_store.h):
   /// complete answers and permanent errors keyed by content (db, content
@@ -230,7 +227,6 @@ class WhyNotService {
     uint64_t submitted = 0;
     uint64_t accepted = 0;
     uint64_t shed_queue_full = 0;
-    uint64_t shed_memory = 0;
     /// Sheds charged to a single client's fair-share quota.
     uint64_t shed_client_quota = 0;
     uint64_t rejected_shutdown = 0;
@@ -340,14 +336,13 @@ class WhyNotService {
   /// back to its event loop without ever parking a thread on a future.
   Submission Submit(WhyNotRequest request, CompletionCallback on_complete);
 
-  /// Stops the service. drain=true executes everything already queued;
-  /// drain=false fails queued requests with kUnavailable and cancels
-  /// running ones (their responses are honest partial answers). Either way
-  /// every accepted request's future resolves before Shutdown returns --
-  /// asserted via NED_CHECK. Idempotent. With persistence on, queued
-  /// requests failed by drain=false keep their unresolved journal ACCEPT,
-  /// so Recover() picks them up next start.
-  void Shutdown(bool drain = true);
+  /// Stops the service: stops admission and executes everything already
+  /// queued, as the destructor does. Every accepted request's future
+  /// resolves before Shutdown returns -- asserted via NED_CHECK. Idempotent.
+  /// To stop without running queued work, call Drain(0): it fails queued
+  /// requests with kUnavailable (keeping their journal ACCEPTs open for
+  /// Recover()) and cancels running ones at once.
+  void Shutdown();
 
   /// Graceful stop for planned restarts (SIGTERM handlers): stops
   /// admission, lets requests already *running* finish (cancelling any
@@ -417,7 +412,6 @@ class WhyNotService {
     obs::Counter* submitted = nullptr;
     obs::Counter* accepted = nullptr;
     obs::Counter* shed_queue_full = nullptr;
-    obs::Counter* shed_memory = nullptr;
     obs::Counter* shed_client_quota = nullptr;
     obs::Counter* rejected_shutdown = nullptr;
     obs::Counter* deduped_inflight = nullptr;
@@ -449,17 +443,17 @@ class WhyNotService {
     std::unordered_map<std::string, std::shared_ptr<const QueryTree>> plans;
   };
 
-  /// Submit's body: a driver over the admission stages below, each of which
-  /// returns true when it resolved the submission. `on_complete` (never
-  /// null; may hold an empty function) is moved onto the Job -- and nulled
-  /// out -- when the submission attaches to admitted/in-flight work; left
+  /// Submit's body: runs the admission stages below in order. PinAndLookUp
+  /// runs with mu_ released; the rest run in one mu_ hold, and each returns
+  /// true when it resolved the submission. `on_complete` (never null;
+  /// may hold an empty function) is moved onto the Job -- and nulled out --
+  /// when the submission attaches to admitted/in-flight work; left
   /// untouched for synchronous resolutions, which the public wrapper
   /// delivers inline.
   Submission SubmitImpl(WhyNotRequest request, CompletionCallback* on_complete);
+  void PinAndLookUp(Admission* a);
   bool KnownKeyLocked(Admission* a);
-  bool PinAndLookUp(Admission* a);
   bool ServeTierHitLocked(Admission* a);
-  bool LoadShedsLocked(Admission* a);
   bool JournalAcceptFailsLocked(Admission* a, const Job& job);
   bool EnqueueShedsLocked(Admission* a, const std::shared_ptr<Job>& job);
   /// Every shed's outcome: kUnavailable with the suggested backoff.
@@ -549,15 +543,15 @@ class WhyNotService {
   Scheduler scheduler_;
   /// Accepted, not yet finalized (queued or running), by idempotency key.
   std::unordered_map<std::string, std::shared_ptr<Job>> inflight_;
-  /// Execution-attempt counters per key (spans transient-failure retries).
+  /// Admission counters per key, the source of Job::attempt (spans
+  /// transient-failure retries).
   std::unordered_map<std::string, int> attempts_;
   /// The idempotency book: completed responses by request key, FIFO
   /// evicted beyond a fixed capacity.
   std::unordered_map<std::string, Completed> completed_;
   std::deque<std::string> completed_fifo_;
-  /// Summed memory budgets of in-flight requests (watermark accounting).
-  size_t admitted_bytes_ = 0;
-  uint64_t next_auto_key_ = 0;
+  /// Last "auto-N" number handed out; taken with no lock held.
+  std::atomic<uint64_t> next_auto_key_{0};
 
   std::vector<std::thread> workers_;
   std::thread watchdog_;

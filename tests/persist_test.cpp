@@ -705,7 +705,7 @@ TEST(ServicePersistence, AnswersSurviveARestartByteIdentically) {
     EXPECT_EQ(stats.journaled_accepts, 1u);
     EXPECT_EQ(stats.journaled_completes, 1u);
     EXPECT_EQ(stats.answer_store_puts, 1u);
-    service.Shutdown(/*drain=*/true);
+    service.Shutdown();
   }
   {
     ServiceOptions options;
@@ -731,7 +731,7 @@ TEST(ServicePersistence, AnswersSurviveARestartByteIdentically) {
     EXPECT_EQ(EncodedSummary(resp.answer), first_bytes);
     EXPECT_EQ(service.stats().accepted, accepted_before);
     EXPECT_EQ(service.stats().answer_store_hits, 1u);
-    service.Shutdown(/*drain=*/true);
+    service.Shutdown();
   }
 }
 
@@ -750,7 +750,7 @@ TEST(ServicePersistence, JournalOnlyModeRecomputesInsteadOfRestoring) {
     EXPECT_EQ(stats.journaled_accepts, 1u);
     EXPECT_EQ(stats.journaled_completes, 1u);
     EXPECT_EQ(stats.answer_store_puts, 0u);  // no store in this mode
-    service.Shutdown(/*drain=*/true);
+    service.Shutdown();
   }
   {
     ServiceOptions options;
@@ -771,7 +771,7 @@ TEST(ServicePersistence, JournalOnlyModeRecomputesInsteadOfRestoring) {
     EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
     EXPECT_FALSE(resp.served_from_answer_store);
     EXPECT_EQ(service.stats().answer_store_hits, 0u);
-    service.Shutdown(/*drain=*/true);
+    service.Shutdown();
   }
 }
 
@@ -781,9 +781,8 @@ TEST(ServicePersistence, AbruptShutdownStrandsQueuedWorkForRecovery) {
     ServiceOptions options;
     options.workers = 1;
     options.persist_dir = dir;
-    // A transient-failing request parks in the queue behind nothing -- use
-    // an injected transient so the worker is busy... simpler: flood the
-    // single worker so one request is still queued at Shutdown(false).
+    // Flood the single worker so one request is still queued at Drain(0),
+    // the stop that runs no queued work.
     WhyNotService service(TinyCatalog(), options);
     WhyNotRequest blocker = TinyRequest("blk");
     blocker.inject_fault_at_step = 1;  // runs, returns an honest partial
@@ -791,7 +790,7 @@ TEST(ServicePersistence, AbruptShutdownStrandsQueuedWorkForRecovery) {
     ASSERT_TRUE(b.status.ok());
     auto q = service.Submit(TinyRequest("q1"));
     ASSERT_TRUE(q.status.ok());
-    service.Shutdown(/*drain=*/false);
+    service.Drain(0);
     // The queued request (whichever it was) resolved retryably; its ACCEPT
     // stays open in the journal.
     const WhyNotResponse qr = q.response.get();
@@ -818,7 +817,7 @@ TEST(ServicePersistence, AbruptShutdownStrandsQueuedWorkForRecovery) {
     EXPECT_EQ(again.replayed_records, 0u);
     EXPECT_EQ(again.pending_found, 0u);
     EXPECT_EQ(again.resubmitted, 0u);
-    service.Shutdown(/*drain=*/true);
+    service.Shutdown();
   }
 }
 

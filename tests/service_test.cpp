@@ -88,8 +88,8 @@ WhyNotRequest SlowRequest(const std::string& key, int64_t deadline_ms) {
 TEST(ExecContextConcurrency, CancelAndCountersRaceFree) {
   ExecContext ctx;
   std::atomic<bool> done{false};
-  // A monitoring thread reads counters and eventually cancels, as Drain and
-  // Shutdown do; the main thread hammers the hot checkpoint path.
+  // A monitoring thread reads counters and eventually cancels, as Drain
+  // does; the main thread hammers the hot checkpoint path.
   std::thread watchdog([&] {
     while (!done.load()) {
       (void)ctx.steps();
@@ -201,39 +201,6 @@ TEST(Service, OverloadShedsAtPinnedQueueWatermark) {
   EXPECT_EQ(stats.shed_queue_full, shed);
   EXPECT_EQ(stats.accepted, futures.size());
   EXPECT_EQ(stats.completed, futures.size());
-}
-
-TEST(Service, MemoryWatermarkSheds) {
-  constexpr size_t kBlockerBudget = 512u << 20;
-  ServiceOptions options;
-  options.workers = 1;
-  options.queue_capacity = 64;
-  options.default_memory_budget = 1 << 20;
-  // Room for the worker-occupying blocker plus two queued requests. A bare
-  // three-request version of this test races: a 1 MiB budget trips within
-  // milliseconds, so a descheduled submitter could find m1/m2 already
-  // finished and m3 admitted.
-  options.memory_watermark_bytes = kBlockerBudget + (2u << 20);
-  WhyNotService service(MakeCatalog(), options);
-  // Occupies the single worker until its deadline (its generous budget
-  // never trips first), so m1/m2 sit queued -- and charged -- while m3
-  // arrives.
-  WhyNotRequest blocker = SlowRequest("blk", 300);
-  blocker.memory_budget = kBlockerBudget;
-  auto blk = service.Submit(std::move(blocker));
-  ASSERT_TRUE(blk.status.ok());
-  auto a = service.Submit(SlowRequest("m1", 400));
-  auto b = service.Submit(SlowRequest("m2", 400));
-  auto c = service.Submit(SlowRequest("m3", 400));
-  ASSERT_TRUE(a.status.ok());
-  ASSERT_TRUE(b.status.ok());
-  EXPECT_EQ(c.status.code(), StatusCode::kUnavailable);
-  EXPECT_GT(c.retry_after_ms, 0);
-  blk.response.get();
-  a.response.get();
-  b.response.get();
-  service.Shutdown();
-  EXPECT_EQ(service.stats().shed_memory, 1u);
 }
 
 // ---- snapshot isolation ----------------------------------------------------
@@ -351,6 +318,55 @@ TEST(Service, IdempotentKeysDedupAndServeFromCache) {
   EXPECT_EQ(stats.served_from_cache, 1u);
 }
 
+TEST(Service, KnownKeyIsServedBeforeItsSnapshotIsPinned) {
+  ServiceOptions options;
+  options.workers = 1;
+  WhyNotService service(MakeCatalog(), options);
+  WhyNotRequest fresh = TinyRequest("fresh");
+  fresh.db_name = "no-such-db";
+  EXPECT_EQ(service.Submit(fresh).status.code(), StatusCode::kNotFound);
+
+  // A completed key re-serves its response even when the resubmission
+  // names a database that does not exist: the known key wins over the pin.
+  const WhyNotResponse original =
+      service.Submit(TinyRequest("k")).response.get();
+  ASSERT_TRUE(original.status.ok()) << original.status.ToString();
+  const auto before = service.stats();
+  WhyNotRequest lost = TinyRequest("k");
+  lost.db_name = "no-such-db";
+  auto again = service.Submit(lost);
+  ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+  EXPECT_TRUE(again.deduped);
+  const WhyNotResponse replay = again.response.get();
+  EXPECT_EQ(replay.key, "k");
+  EXPECT_EQ(replay.attempt, original.attempt);
+  EXPECT_EQ(replay.snapshot_version, original.snapshot_version);
+  EXPECT_EQ(replay.answer.ToString(), original.answer.ToString());
+  EXPECT_EQ(service.stats().accepted, before.accepted);
+  EXPECT_EQ(service.stats().completed, before.completed);
+
+  // An in-flight key attaches to the running job the same way.
+  auto slow = service.Submit(SlowRequest("slow", 300));
+  ASSERT_TRUE(slow.status.ok()) << slow.status.ToString();
+  while (service.queue_depth() != 0) std::this_thread::yield();
+  WhyNotRequest lost_slow = SlowRequest("slow", 300);
+  lost_slow.db_name = "no-such-db";
+  auto attached = service.Submit(lost_slow);
+  ASSERT_TRUE(attached.status.ok()) << attached.status.ToString();
+  EXPECT_TRUE(attached.deduped);
+  const WhyNotResponse ran = slow.response.get();
+  const WhyNotResponse shared = attached.response.get();
+  EXPECT_EQ(shared.key, "slow");
+  EXPECT_EQ(shared.attempt, ran.attempt);
+  EXPECT_EQ(shared.snapshot_version, ran.snapshot_version);
+  EXPECT_EQ(shared.answer.ToString(), ran.answer.ToString());
+  service.Shutdown();
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.accepted, before.accepted + 1);
+  EXPECT_EQ(stats.deduped_inflight, 1u);
+  EXPECT_EQ(stats.served_from_cache, 1u);
+}
+
 // ---- shutdown --------------------------------------------------------------
 
 TEST(Service, ShutdownWithInFlightRequestsLosesNothing) {
@@ -364,10 +380,11 @@ TEST(Service, ShutdownWithInFlightRequestsLosesNothing) {
     ASSERT_TRUE(sub.status.ok());
     futures.push_back(sub.response);
   }
-  // Give the workers a moment to pick some up, then pull the plug without
-  // draining: running requests are cancelled, queued ones failed.
+  // Give the workers a moment to pick some up, then stop without running
+  // the queue: Drain(0) cancels running requests at once and fails queued
+  // ones.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  service.Shutdown(/*drain=*/false);
+  service.Drain(0);
   size_t answered = 0, failed = 0;
   for (auto& f : futures) {
     WhyNotResponse resp = f.get();  // must never hang: nothing is lost
@@ -400,7 +417,7 @@ TEST(Service, DrainShutdownCompletesQueuedWork) {
     ASSERT_TRUE(sub.status.ok());
     futures.push_back(sub.response);
   }
-  service.Shutdown(/*drain=*/true);
+  service.Shutdown();
   for (auto& f : futures) {
     WhyNotResponse resp = f.get();
     EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
@@ -895,7 +912,7 @@ TEST(Durability, DrainContractAndIdempotentRecover) {
     WhyNotResponse resp = retry.response.get();
     ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
     EXPECT_TRUE(resp.answer.complete);
-    service.Shutdown(/*drain=*/true);
+    service.Shutdown();
     // Exactly-once across the restart: one execution for q1, total.
     EXPECT_EQ(service.stats().accepted, 1u);
   }

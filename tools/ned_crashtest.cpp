@@ -630,7 +630,7 @@ bool RunKillCycle(const std::string& exe, const std::string& dir, int cycle,
                         " acks re-executed ",
                         accepted_after - accepted_before, " of them"));
   }
-  service.Shutdown(/*drain=*/true);
+  service.Shutdown();
   return true;
 }
 
@@ -661,7 +661,7 @@ int RunKillBattery(const Args& args, const std::string& exe,
       }
       baseline[i] = ContentHash(resp.answer);
     }
-    service.Shutdown(/*drain=*/true);
+    service.Shutdown();
   }
   const std::string dir = base + "/kill";
   RemoveTree(dir);

@@ -100,7 +100,7 @@ int ExposeMode(const UseCaseRegistry& registry, const std::string& format,
     }
     (void)sub.response.get();
   }
-  service.Shutdown(/*drain=*/true);
+  service.Shutdown();
 
   const std::vector<ned::obs::MetricSnapshot> snapshot =
       service.metrics()->Collect();

@@ -532,9 +532,6 @@ int Run(const Args& args) {
   options.per_client_limit = kPerClientLimit;
   options.default_deadline_ms = 2000;
   options.default_memory_budget = 64u << 20;
-  options.memory_watermark_bytes =
-      static_cast<size_t>(args.workers + static_cast<int>(args.queue)) *
-      (64u << 20);
   if (!args.persist_dir.empty()) options.persist_dir = args.persist_dir;
   WhyNotService service(catalog, options);
   if (service.persistence_enabled()) {
@@ -598,7 +595,7 @@ int Run(const Args& args) {
               << " journaled_queued=" << drain.journaled_queued
               << " cancelled=" << drain.cancelled << "\n";
   } else {
-    service.Shutdown(/*drain=*/true);
+    service.Shutdown();
   }
 
   if (!args.metrics_out.empty()) {
@@ -660,7 +657,6 @@ int Run(const Args& args) {
             << "service: submitted=" << stats.submitted
             << " accepted=" << stats.accepted
             << " shed_queue=" << stats.shed_queue_full
-            << " shed_mem=" << stats.shed_memory
             << " shed_quota=" << stats.shed_client_quota
             << " expired=" << stats.expired_in_queue
             << " completed=" << stats.completed
